@@ -71,17 +71,6 @@ class OmtSolution:
     feature_cost: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rotation": self.rotation.r.tolist(),
-            "permutation": self.permutation.map.tolist(),
-            "cost": self.cost,
-            "cost_unsquared": self.cost_unsquared,
-            "coord_cost": self.coord_cost,
-            "feature_cost": self.feature_cost,
-            "iterations": self.iterations,
-        }
-
 
 def _check_pair(z1: LatentGeometry, z0: LatentGeometry, lam: float):
     if z1.n != z0.n:

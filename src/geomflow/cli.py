@@ -10,49 +10,14 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import alignment, costs, data, flow, geometry, nn, ode
-
-DEFAULT_CONFIG = {
-    "lambda": 0.5,
-    "sigma0": 0.01,
-    "k": 2,
-    "hidden": 64,
-    "flow_layers": 3,
-    "decoder_layers": 1,
-    "identity_latent": False,
-    "coord_scale": 1.0,
-    "epochs": 10,
-    "batch_size": 16,
-    "lr": 1e-4,
-    "seed": 0,
-    "use_omt": True,
-    "omt_iters": 1,
-    "omt_restarts": 1,
-    "ae_epochs": 10,
-    "reflow_rounds": 1,
-    "purify": True,
-    "reflow_pairs": None,
-    "reflow_epochs": None,
-    "fresh_reflow": False,
-    "solver": "adaptive",
-    "fixed_steps": 100,
-    "rtol": 1e-4,
-    "atol": 1e-5,
-    "max_steps": 10000,
-    "init_step": 0.05,
-    "estimate_solver": "rk4",
-    "estimate_steps": 40,
-    "min_pair_dist": 0.25,
-    "max_radius": 4.0,
-    "onehot_margin": 0.5,
-}
-
 
 class UsageError(Exception):
     pass
@@ -86,21 +51,65 @@ class RunMetrics:
                 raise ValueError(f"{name} must be non-negative")
 
     def as_row(self) -> dict:
-        row = {"phase": self.phase, "seed": self.seed, "config_hash": self.config_hash}
-        for name in (
-            "distribution_cost",
-            "per_atom_cost",
-            "mean_steps",
-            "median_steps",
-            "validity_rate",
-            "wall_seconds",
-        ):
-            v = getattr(self, name)
-            row[name] = "" if v is None else v
-        return row
+        return {name: "" if v is None else v for name, v in asdict(self).items()}
+
+
+# The flat config is TrainConfig's fields, with `lam` named "lambda" and each
+# of its two solvers flattened into a method key and a step-count key (the
+# tolerances are shared), followed by ValidityRule's fields.
+_RENAMED = {"lam": "lambda"}
+_SOLVER_KEYS = {"solver": "fixed_steps", "estimate_solver": "estimate_steps"}
+_SHARED_SOLVER_FIELDS = ("rtol", "atol", "max_steps", "init_step")
+
+
+def _flatten(tconf: flow.TrainConfig, rule: data.ValidityRule) -> dict:
+    flat = {}
+    for f in fields(tconf):
+        value = getattr(tconf, f.name)
+        if f.name in _SOLVER_KEYS:
+            flat[f.name], flat[_SOLVER_KEYS[f.name]] = value.method, value.fixed_steps
+        else:
+            flat[_RENAMED.get(f.name, f.name)] = value
+    flat.update({name: getattr(tconf.solver, name) for name in _SHARED_SOLVER_FIELDS})
+    flat.update(asdict(rule))
+    return flat
+
+
+DEFAULT_CONFIG = _flatten(flow.TrainConfig(), data.ValidityRule())
+
+
+def train_config_from(cfg: dict) -> flow.TrainConfig:
+    shared = {name: cfg[name] for name in _SHARED_SOLVER_FIELDS}
+    kwargs = {}
+    for f in fields(flow.TrainConfig):
+        if f.name in _SOLVER_KEYS:
+            kwargs[f.name] = ode.SolverConfig(
+                method=cfg[f.name], fixed_steps=cfg[_SOLVER_KEYS[f.name]], **shared
+            )
+        else:
+            kwargs[f.name] = cfg[_RENAMED.get(f.name, f.name)]
+    return flow.TrainConfig(**kwargs)
+
+
+def rule_from(cfg: dict) -> data.ValidityRule:
+    return data.ValidityRule(**{f.name: cfg[f.name] for f in fields(data.ValidityRule)})
+
+
+def _same_kind(value, default) -> bool:
+    """Whether `value` has the JSON kind of the config default `default`."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if default is None:
+        return value is None or isinstance(value, int)
+    return isinstance(value, type(default))
 
 
 def load_config(path) -> dict:
+    """The defaults updated from the flat JSON object in `path`, checked in
+    full (kinds, then the TrainConfig and ValidityRule checks) before any
+    work; every failure is a UsageError."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
         try:
@@ -108,10 +117,23 @@ def load_config(path) -> dict:
                 user = json.load(f)
         except json.JSONDecodeError as e:
             raise UsageError(f"config {path} is not valid JSON: {e}") from e
+        if not isinstance(user, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            if not _same_kind(value, DEFAULT_CONFIG[key]):
+                raise UsageError(
+                    f"config key {key!r} has value {value!r}, "
+                    f"not of the kind of its default {DEFAULT_CONFIG[key]!r}"
+                )
         cfg.update(user)
+    try:
+        train_config_from(cfg)
+        rule_from(cfg)
+    except ValueError as e:
+        raise UsageError(f"bad config: {e}") from e
     return cfg
 
 
@@ -121,53 +143,6 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()[:12]
 
 
-def _solver_from(cfg, method_key="solver", steps_key="fixed_steps") -> ode.SolverConfig:
-    return ode.SolverConfig(
-        method=cfg[method_key],
-        fixed_steps=cfg[steps_key],
-        rtol=cfg["rtol"],
-        atol=cfg["atol"],
-        max_steps=cfg["max_steps"],
-        init_step=cfg["init_step"],
-    )
-
-
-def train_config_from(cfg: dict) -> flow.TrainConfig:
-    return flow.TrainConfig(
-        lam=cfg["lambda"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        sigma0=cfg["sigma0"],
-        reflow_rounds=cfg["reflow_rounds"],
-        purify=cfg["purify"],
-        seed=cfg["seed"],
-        k=cfg["k"],
-        hidden=cfg["hidden"],
-        flow_layers=cfg["flow_layers"],
-        decoder_layers=cfg["decoder_layers"],
-        identity_latent=cfg["identity_latent"],
-        coord_scale=cfg["coord_scale"],
-        use_omt=cfg["use_omt"],
-        omt_iters=cfg["omt_iters"],
-        omt_restarts=cfg["omt_restarts"],
-        ae_epochs=cfg["ae_epochs"],
-        reflow_pairs=cfg["reflow_pairs"],
-        reflow_epochs=cfg["reflow_epochs"],
-        fresh_reflow=cfg["fresh_reflow"],
-        estimate_solver=_solver_from(cfg, "estimate_solver", "estimate_steps"),
-        solver=_solver_from(cfg),
-    )
-
-
-def rule_from(cfg: dict) -> data.ValidityRule:
-    return data.ValidityRule(
-        min_pair_dist=cfg["min_pair_dist"],
-        max_radius=cfg["max_radius"],
-        onehot_margin=cfg["onehot_margin"],
-    )
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -175,14 +150,16 @@ def rule_from(cfg: dict) -> data.ValidityRule:
 def cmd_gendata(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise UsageError(f"template spec {args.spec} must hold a JSON object")
     rule_dict = raw.pop("rule", None)
     try:
-        spec = data.TemplateSpec.from_dict(raw)
-    except TypeError as e:
+        spec = data.TemplateSpec(**raw)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        rule = data.ValidityRule(**rule_dict) if rule_dict else data.default_rule(spec)
+    except (TypeError, ValueError) as e:
         raise UsageError(f"bad template spec: {e}") from e
-    if args.seed is not None:
-        spec = data.TemplateSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    rule = data.ValidityRule.from_dict(rule_dict) if rule_dict else data.default_rule(spec)
     geoms = data.make_dataset(spec, args.count, rule)
     data.save_geometries(args.out, geoms)
     sizes = sorted({g.n for g in geoms})
@@ -196,12 +173,12 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    tconf, rule = train_config_from(cfg), rule_from(cfg)
     dataset = data.load_geometries(args.data)
-    tconf = train_config_from(cfg)
     t0 = time.perf_counter()
     model, losses = flow.train(dataset, tconf)
     wall = time.perf_counter() - t0
-    model.meta["rule"] = rule_from(cfg).to_dict()
+    model.meta["rule"] = asdict(rule)
     model.meta["config_hash"] = config_hash(cfg)
     data.save_checkpoint(args.out, model)
     if args.loss_csv:
@@ -229,8 +206,8 @@ def _shuffled_baseline(cset: flow.CouplingSet) -> flow.CouplingSet:
 
 
 def cmd_reflow(args) -> int:
-    model = data.load_checkpoint(args.ckpt)
     cfg = load_config(args.config)
+    model = data.load_checkpoint(args.ckpt)
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg["reflow_rounds"] = 1  # the loop below handles rounds one at a time
@@ -238,11 +215,7 @@ def cmd_reflow(args) -> int:
     if args.pairs is not None:
         cfg["reflow_pairs"] = args.pairs
     tconf = train_config_from(cfg)
-    rule = (
-        data.ValidityRule.from_dict(model.meta["rule"])
-        if "rule" in model.meta
-        else rule_from(cfg)
-    )
+    rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
 
     def validity(g):
@@ -303,8 +276,7 @@ def cmd_sample(args) -> int:
         raise ValueError("checkpoint has no size histogram; was it trained?")
     sampler = flow.SizeSampler.from_histogram(model.meta["size_hist"])
     t0 = time.perf_counter()
-    out = flow.generate(model, sampler, args.count, solver, args.seed or 0,
-                        threads=args.threads)
+    out = flow.generate(model, sampler, args.count, solver, args.seed, threads=args.threads)
     wall = time.perf_counter() - t0
     geoms = [g for g, _ in out]
     steps = [s for _, s in out]
@@ -312,16 +284,14 @@ def cmd_sample(args) -> int:
         data.save_geometries(args.out, geoms)
     else:
         open(args.out, "w").close()
-    rule = (
-        data.ValidityRule.from_dict(model.meta["rule"]) if "rule" in model.meta else None
-    )
+    rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else None
     if geoms and rule is not None:
         validity = sum(1 for g in geoms if data.is_valid(g, rule)[0]) / len(geoms)
     else:
         validity = None
     metrics = RunMetrics(
         phase="sample",
-        seed=args.seed or 0,
+        seed=args.seed,
         config_hash=model.meta.get("config_hash", ""),
         mean_steps=float(np.mean(steps)) if steps else None,
         median_steps=float(np.median(steps)) if steps else None,
@@ -397,8 +367,8 @@ def suite_align():
     agree, below = 0, 0.0
     for _ in range(40):
         n = int(rng.integers(2, 6))
-        z1 = flow.noise_rng(n, 2, rng)
-        z0 = flow.noise_rng(n, 2, rng)
+        z1 = flow.sample_noise(n, 2, rng)
+        z0 = flow.sample_noise(n, 2, rng)
         sol = alignment.solve_omt(z1, z0, 0.5, max_iters=30, restarts=32)
         oracle, _, _ = alignment.brute_force_omt(z1, z0, 0.5)
         agree += abs(sol.cost - oracle) <= 1e-8
@@ -413,8 +383,8 @@ def suite_align():
     dev = 0.0
     for _ in range(20):
         n = int(rng.integers(3, 6))
-        z1 = flow.noise_rng(n, 2, rng)
-        z0 = flow.noise_rng(n, 2, rng)
+        z1 = flow.sample_noise(n, 2, rng)
+        z0 = flow.sample_noise(n, 2, rng)
         base, _, _ = alignment.brute_force_omt(z1, z0, 0.5)
         rot = geometry.rotation_from_rng(rng)
         perm = rng.permutation(n)
@@ -436,7 +406,7 @@ def suite_nn():
             d=2, k=2, hidden=12, flow_layers=2, identity_latent=True, seed=100 + draw
         )
         n = int(rng.integers(3, 8))
-        z = flow.noise_rng(n, 2, rng)
+        z = flow.sample_noise(n, 2, rng)
         t = float(rng.uniform())
         v = model.velocity(z, t)
         rot = geometry.rotation_from_rng(rng)
@@ -499,8 +469,8 @@ def suite_flow():
     dev = float(np.abs(y1 - y0 * np.exp(a)).max())
     _check(checks, "rk4-linear-field", dev <= 1e-10, f"max dev {dev:.1e}")
 
-    z0 = flow.noise_rng(5, 2, rng)
-    z1 = flow.noise_rng(5, 2, rng)
+    z0 = flow.sample_noise(5, 2, rng)
+    z1 = flow.sample_noise(5, 2, rng)
     ok = (
         np.array_equal(flow.interpolate(z0, z1, 0.0).coords, z0.coords)
         and np.array_equal(flow.interpolate(z0, z1, 1.0).features, z1.features)
@@ -606,15 +576,16 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_reflow)
 
+    solver = ode.SolverConfig()
     p = sub.add_parser("sample", help="generate geometries from a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--solver", choices=("euler", "rk4", "adaptive"), default="adaptive")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--atol", type=float, default=1e-5)
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--init-step", type=float, default=0.05)
+    p.add_argument("--solver", choices=ode.METHODS, default=solver.method)
+    p.add_argument("--steps", type=int, default=solver.fixed_steps)
+    p.add_argument("--rtol", type=float, default=solver.rtol)
+    p.add_argument("--atol", type=float, default=solver.atol)
+    p.add_argument("--max-steps", type=int, default=solver.max_steps)
+    p.add_argument("--init-step", type=float, default=solver.init_step)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -623,7 +594,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="transport cost of a coupling file")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=flow.TrainConfig().lam)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -93,22 +94,6 @@ class TemplateSpec:
         if self.feature_classes < 1:
             raise ValueError("need at least one feature class")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_templates": self.num_templates,
-            "atoms_per_template": list(self.atoms_per_template),
-            "coord_scale": self.coord_scale,
-            "feature_classes": self.feature_classes,
-            "jitter_sigma": self.jitter_sigma,
-            "feature_jitter": self.feature_jitter,
-            "feature_scale": self.feature_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemplateSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ValidityRule:
@@ -119,6 +104,9 @@ class ValidityRule:
     onehot_margin: float = 0.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.min_pair_dist, self.max_radius,
+                                       self.onehot_margin))):
+            raise ValueError("validity thresholds must be finite")
         if self.min_pair_dist <= 0:
             raise ValueError("min_pair_dist must be positive")
         if not self.min_pair_dist < self.max_radius:
@@ -126,23 +114,13 @@ class ValidityRule:
         if not 0.0 < self.onehot_margin <= 1.0:
             raise ValueError("onehot_margin must lie in (0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "min_pair_dist": self.min_pair_dist,
-            "max_radius": self.max_radius,
-            "onehot_margin": self.onehot_margin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ValidityRule":
-        return cls(**d)
-
 
 def default_rule(spec: TemplateSpec) -> ValidityRule:
+    """The default rule with its distances scaled by the spec's coord_scale."""
+    base = ValidityRule()
     return ValidityRule(
-        min_pair_dist=0.25 * spec.coord_scale,
-        max_radius=4.0 * spec.coord_scale,
-        onehot_margin=0.5,
+        min_pair_dist=base.min_pair_dist * spec.coord_scale,
+        max_radius=base.max_radius * spec.coord_scale,
     )
 
 

@@ -11,6 +11,7 @@ optionally filters the decoded endpoints through a validity predicate
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -18,10 +19,13 @@ import numpy as np
 
 from .alignment import solve_omt
 from .geometry import LatentGeometry
-from .nn import AdamState, VectorFieldModel, adam_step, decode, encode_rng
+from .nn import AdamState, VectorFieldModel, adam_step, decode, encode
 from .ode import SolverConfig, integrate
 
 _SOURCES = ("random", "estimated")
+# TrainConfig's architecture fields, named as VectorFieldModel's arguments.
+_ARCH_FIELDS = ("k", "hidden", "flow_layers", "decoder_layers", "identity_latent",
+                "coord_scale")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be non-negative")
+        if not all(map(math.isfinite, (self.lr, self.sigma0, self.coord_scale))):
+            raise ValueError("lr, sigma0 and coord_scale must be finite")
         if self.reflow_rounds < 0:
             raise ValueError("reflow_rounds must be >= 0")
 
@@ -138,10 +144,7 @@ class SizeSampler:
 
     @classmethod
     def from_dataset(cls, geoms) -> "SizeSampler":
-        hist: dict = {}
-        for g in geoms:
-            hist[g.n] = hist.get(g.n, 0) + 1
-        return cls.from_histogram(hist)
+        return cls.from_histogram(size_histogram(geoms))
 
     @classmethod
     def fixed(cls, n: int) -> "SizeSampler":
@@ -159,13 +162,13 @@ def size_histogram(geoms) -> dict:
 
 
 def sample_noise(n: int, k: int, seed) -> LatentGeometry:
-    """Standard Gaussian latent noise with the coordinate part centered."""
+    """Standard Gaussian latent noise with the coordinate part centered.
+
+    `seed` is a seed or a Generator; a Generator is drawn from in place.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return noise_rng(n, k, np.random.default_rng(seed))
-
-
-def noise_rng(n: int, k: int, rng: np.random.Generator) -> LatentGeometry:
+    rng = np.random.default_rng(seed)
     coords = rng.standard_normal((n, 3))
     coords -= coords.mean(axis=0)
     return LatentGeometry(n, coords, rng.standard_normal((n, k)))
@@ -232,53 +235,51 @@ def train(dataset, config: TrainConfig):
     Returns (model, loss_curve) with one loss value per optimizer step.
     """
     d = _check_dataset(dataset)
-    model = VectorFieldModel(
-        d=d,
-        k=config.k,
-        hidden=config.hidden,
-        flow_layers=config.flow_layers,
-        decoder_layers=config.decoder_layers,
-        identity_latent=config.identity_latent,
-        coord_scale=config.coord_scale,
-        seed=config.seed,
-    )
-    model.meta = {
-        "size_hist": {str(n): c for n, c in sorted(size_histogram(dataset).items())},
-        "train_size": len(dataset),
-        "sigma0": config.sigma0,
-        "lambda": config.lam,
-    }
+    model = VectorFieldModel.from_arch({
+        "d": d,
+        **{name: getattr(config, name) for name in _ARCH_FIELDS},
+        "seed": config.seed,
+        "meta": {
+            "size_hist": {str(n): c for n, c in sorted(size_histogram(dataset).items())},
+            "train_size": len(dataset),
+            "sigma0": config.sigma0,
+            "lambda": config.lam,
+        },
+    })
     rng = np.random.default_rng(config.seed)
     if not config.identity_latent and config.ae_epochs > 0:
         train_autoencoder(model, dataset, config, rng)
-    losses = _train_flow(model, dataset, config, rng)
+
+    def item_loss(g, rng):
+        z1 = encode(model, g, config.sigma0, rng)
+        z0 = sample_noise(g.n, model.k, rng)
+        if config.use_omt:
+            z1 = solve_omt(
+                z1, z0, config.lam,
+                max_iters=config.omt_iters, restarts=config.omt_restarts,
+            ).aligned_target
+        return _velocity_regression(model, z0, z1, float(rng.uniform()))
+
+    losses = _fit(model, "flow", dataset, item_loss, config.epochs, config, rng)
     return model, losses
 
 
-def _train_flow(model, dataset, config, rng):
-    params = model.flow_parameters()
+def _fit(model, group, items, item_loss, epochs, config: TrainConfig, rng):
+    """Minibatch Adam on the `group` parameters over shuffled `items`.
+
+    `item_loss(item, rng)` returns one item's loss and accumulates its
+    gradients on the model; each step averages them over the batch. Returns
+    the mean loss of every step.
+    """
+    params, grads = model.parameters(group), model.gradients(group)
     state = AdamState.init(params)
     losses = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(dataset))
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             model.zero_grads()
-            total = 0.0
-            for idx in batch:
-                g = dataset[idx]
-                z1 = encode_rng(model, g, config.sigma0, rng)
-                z0 = noise_rng(g.n, model.k, rng)
-                if config.use_omt:
-                    sol = solve_omt(
-                        z1, z0, config.lam,
-                        max_iters=config.omt_iters, restarts=config.omt_restarts,
-                    )
-                    z1t = sol.aligned_target
-                else:
-                    z1t = z1
-                total += _velocity_regression(model, z0, z1t, float(rng.uniform()))
-            grads = model.flow_gradients()
+            total = sum(item_loss(items[int(idx)], rng) for idx in batch)
             inv = 1.0 / len(batch)
             for gr in grads:
                 gr *= inv
@@ -296,42 +297,26 @@ def _softmax(rows):
 def train_autoencoder(model, dataset, config, rng):
     """Reconstruction training: squared error on coords, cross-entropy on
     one-hot classes (targets taken as the argmax of each feature row)."""
-    params = model.ae_parameters()
-    state = AdamState.init(params)
-    losses = []
-    for _ in range(config.ae_epochs):
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            model.zero_grads()
-            total = 0.0
-            for idx in batch:
-                g = dataset[idx]
-                x = g.coords - g.coords.mean(axis=0)
-                noise_x = rng.standard_normal((g.n, 3))
-                noise_x -= noise_x.mean(axis=0)
-                noise_h = rng.standard_normal((g.n, model.k))
-                mu_x, mu_h = model.encode_means(x, g.features, cache=True)
-                zx = mu_x + config.sigma0 * noise_x
-                zh = mu_h + config.sigma0 * noise_h
-                x_rec, logits = model.decode_arrays(zx, zh, cache=True)
-                labels = np.argmax(g.features, axis=1)
-                p = _softmax(logits)
-                coord_loss = float(((x_rec - x) ** 2).mean())
-                ce = float(-np.log(np.maximum(p[np.arange(g.n), labels], 1e-300)).mean())
-                total += coord_loss + ce
-                y = np.zeros_like(p)
-                y[np.arange(g.n), labels] = 1.0
-                model.ae_backward(
-                    2.0 * (x_rec - x) / x.size, (p - y) / g.n
-                )
-            grads = model.ae_gradients()
-            inv = 1.0 / len(batch)
-            for gr in grads:
-                gr *= inv
-            adam_step(params, grads, state, config.lr)
-            losses.append(total / len(batch))
-    return losses
+
+    def item_loss(g, rng):
+        x = g.coords - g.coords.mean(axis=0)
+        noise_x = rng.standard_normal((g.n, 3))
+        noise_x -= noise_x.mean(axis=0)
+        noise_h = rng.standard_normal((g.n, model.k))
+        mu_x, mu_h = model.encode_means(x, g.features, cache=True)
+        zx = mu_x + config.sigma0 * noise_x
+        zh = mu_h + config.sigma0 * noise_h
+        x_rec, logits = model.decode_arrays(zx, zh, cache=True)
+        labels = np.argmax(g.features, axis=1)
+        p = _softmax(logits)
+        coord_loss = float(((x_rec - x) ** 2).mean())
+        ce = float(-np.log(np.maximum(p[np.arange(g.n), labels], 1e-300)).mean())
+        y = np.zeros_like(p)
+        y[np.arange(g.n), labels] = 1.0
+        model.ae_backward(2.0 * (x_rec - x) / x.size, (p - y) / g.n)
+        return coord_loss + ce
+
+    return _fit(model, "ae", dataset, item_loss, config.ae_epochs, config, rng)
 
 
 def _pack(z: LatentGeometry) -> np.ndarray:
@@ -370,21 +355,27 @@ def _map_indexed(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed,
+               threads):
+    """(noise, ODE endpoint, accepted steps) for each of `count` draws, each
+    draw from its own child of `seed`."""
+
+    def one(ss):
+        rng = np.random.default_rng(ss)
+        z0 = sample_noise(size_sampler.sample(rng), model.k, rng)
+        return (z0, *sample_ode(model, z0, solver))
+
+    return _map_indexed(one, _spawned(seed, count), threads)
+
+
 def generate(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed, threads=1):
     """Draw sizes, sample noise, integrate, decode. Deterministic per seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
-
-    def one(ss):
-        rng = np.random.default_rng(ss)
-        n = size_sampler.sample(rng)
-        z0 = noise_rng(n, model.k, rng)
-        z1, steps = sample_ode(model, z0, solver)
-        return decode(model, z1), steps
-
-    return _map_indexed(one, _spawned(seed, count), threads)
+    return [
+        (decode(model, z1), steps)
+        for _, z1, steps in _endpoints(model, size_sampler, count, solver, seed, threads)
+    ]
 
 
 def estimate_couplings(model, count, solver: SolverConfig, seed,
@@ -392,15 +383,10 @@ def estimate_couplings(model, count, solver: SolverConfig, seed,
     """Pair each noise draw with its ODE endpoint (the estimated coupling)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-
-    def one(ss):
-        rng = np.random.default_rng(ss)
-        n = size_sampler.sample(rng)
-        z0 = noise_rng(n, model.k, rng)
-        z1, _ = sample_ode(model, z0, solver)
-        return CouplingPair(z0, z1, aligned=False, source="estimated")
-
-    return CouplingSet(_map_indexed(one, _spawned(seed, count), threads))
+    return CouplingSet([
+        CouplingPair(z0, z1, aligned=False, source="estimated")
+        for z0, z1, _ in _endpoints(model, size_sampler, count, solver, seed, threads)
+    ])
 
 
 def random_couplings(model, dataset, count, seed) -> CouplingSet:
@@ -412,8 +398,8 @@ def random_couplings(model, dataset, count, seed) -> CouplingSet:
     pairs = []
     for _ in range(count):
         g = dataset[int(rng.integers(len(dataset)))]
-        z1 = encode_rng(model, g, sigma0, rng)
-        z0 = noise_rng(g.n, model.k, rng)
+        z1 = encode(model, g, sigma0, rng)
+        z0 = sample_noise(g.n, model.k, rng)
         pairs.append(CouplingPair(z0, z1, aligned=False, source="random"))
     return CouplingSet(pairs)
 
@@ -452,39 +438,12 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
         ]
         coupling = CouplingSet(aligned)
         if config.fresh_reflow:
-            fresh = VectorFieldModel(
-                d=model.d, k=model.k, hidden=model.hidden,
-                flow_layers=model.n_flow_layers,
-                decoder_layers=model.n_decoder_layers,
-                identity_latent=model.identity_latent,
-                coord_scale=model.coord_scale, seed=config.seed,
-            )
-            fresh.meta = dict(model.meta)
-            model = fresh
-        _finetune(model, coupling, config, rnd)
+            model = VectorFieldModel.from_arch({**model.arch_dict(), "seed": config.seed})
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, rnd]))
+        epochs = config.reflow_epochs if config.reflow_epochs is not None else config.epochs
+        _fit(model, "flow", coupling,
+             lambda p, rng: _velocity_regression(model, p.z0, p.z1, float(rng.uniform())),
+             epochs, config, rng)
         last = coupling
     return model, last
 
-
-def _finetune(model, coupling: CouplingSet, config: TrainConfig, rnd: int):
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, rnd]))
-    params = model.flow_parameters()
-    state = AdamState.init(params)
-    epochs = config.reflow_epochs if config.reflow_epochs is not None else config.epochs
-    losses = []
-    for _ in range(epochs):
-        order = rng.permutation(len(coupling))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            model.zero_grads()
-            total = 0.0
-            for idx in batch:
-                p = coupling[int(idx)]
-                total += _velocity_regression(model, p.z0, p.z1, float(rng.uniform()))
-            grads = model.flow_gradients()
-            inv = 1.0 / len(batch)
-            for gr in grads:
-                gr *= inv
-            adam_step(params, grads, state, config.lr)
-            losses.append(total / len(batch))
-    return losses

@@ -149,6 +149,9 @@ class DenseNet:
         for g in self.grad_b:
             g[...] = 0.0
 
+    def sub_nets(self):
+        return [self]
+
 
 class EquivariantLayer:
     """One message-passing update on the fully connected point graph.
@@ -277,60 +280,26 @@ class VectorFieldModel:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def _dense_nets(self):
-        nets = []
-        if not self.identity_latent:
-            nets.append(self.enc_embed)
-            nets.extend(self.enc_layer.sub_nets())
-            nets.append(self.enc_out)
-            nets.append(self.dec_embed)
-            for layer in self.dec_stack:
-                nets.extend(layer.sub_nets())
-            nets.append(self.dec_out)
-        nets.append(self.flow_embed)
-        for layer in self.flow_stack:
-            nets.extend(layer.sub_nets())
-        nets.append(self.flow_out)
-        return nets
+    def _nets(self, group="all"):
+        """Dense nets of `group` ("ae", "flow" or "all"), in checkpoint order."""
+        if group not in ("all", "ae", "flow"):
+            raise ValueError(f"unknown parameter group {group!r}")
+        blocks = []
+        if group != "flow" and not self.identity_latent:
+            blocks += [self.enc_embed, self.enc_layer, self.enc_out,
+                       self.dec_embed, *self.dec_stack, self.dec_out]
+        if group != "ae":
+            blocks += [self.flow_embed, *self.flow_stack, self.flow_out]
+        return [net for block in blocks for net in block.sub_nets()]
 
-    def parameters(self):
-        return [p for net in self._dense_nets() for p in net.params()]
+    def parameters(self, group="all"):
+        return [p for net in self._nets(group) for p in net.params()]
 
-    def gradients(self):
-        return [g for net in self._dense_nets() for g in net.grads()]
-
-    def flow_parameters(self):
-        nets = [self.flow_embed, self.flow_out]
-        for layer in self.flow_stack:
-            nets.extend(layer.sub_nets())
-        return [p for net in nets for p in net.params()]
-
-    def flow_gradients(self):
-        nets = [self.flow_embed, self.flow_out]
-        for layer in self.flow_stack:
-            nets.extend(layer.sub_nets())
-        return [g for net in nets for g in net.grads()]
-
-    def ae_parameters(self):
-        if self.identity_latent:
-            return []
-        nets = [self.enc_embed, *self.enc_layer.sub_nets(), self.enc_out,
-                self.dec_embed, self.dec_out]
-        for layer in self.dec_stack:
-            nets.extend(layer.sub_nets())
-        return [p for net in nets for p in net.params()]
-
-    def ae_gradients(self):
-        if self.identity_latent:
-            return []
-        nets = [self.enc_embed, *self.enc_layer.sub_nets(), self.enc_out,
-                self.dec_embed, self.dec_out]
-        for layer in self.dec_stack:
-            nets.extend(layer.sub_nets())
-        return [g for net in nets for g in net.grads()]
+    def gradients(self, group="all"):
+        return [g for net in self._nets(group) for g in net.grads()]
 
     def zero_grads(self):
-        for net in self._dense_nets():
+        for net in self._nets():
             net.zero_grads()
 
     @property
@@ -366,16 +335,9 @@ class VectorFieldModel:
 
     @classmethod
     def from_arch(cls, arch: dict) -> "VectorFieldModel":
-        model = cls(
-            d=arch["d"],
-            k=arch["k"],
-            hidden=arch["hidden"],
-            flow_layers=arch["flow_layers"],
-            decoder_layers=arch["decoder_layers"],
-            identity_latent=arch["identity_latent"],
-            coord_scale=arch.get("coord_scale", 1.0),
-            seed=0,
-        )
+        """A freshly initialised model from an `arch_dict` record (which may
+        also name the `seed`); a missing key takes the constructor's default."""
+        model = cls(**{key: value for key, value in arch.items() if key != "meta"})
         model.meta = dict(arch.get("meta", {}))
         return model
 
@@ -465,17 +427,16 @@ def backward(model: VectorFieldModel, adjoint):
 
 
 def encode(model: VectorFieldModel, g: Geometry, sigma0=0.0, seed=0):
-    """Center, encode, and add zero-CoM-projected noise scaled by sigma0."""
-    rng = np.random.default_rng(seed) if sigma0 > 0 else None
-    return encode_rng(model, g, sigma0, rng)
+    """Center, encode, and add zero-CoM-projected noise scaled by sigma0.
 
-
-def encode_rng(model: VectorFieldModel, g: Geometry, sigma0, rng):
+    `seed` is a seed or a Generator; a Generator is drawn from in place.
+    """
     if sigma0 < 0:
         raise ValueError("sigma0 must be non-negative")
     x = g.coords - g.coords.mean(axis=0)
     mu_x, mu_h = model.encode_means(x, g.features, cache=False)
     if sigma0 > 0:
+        rng = np.random.default_rng(seed)
         eps_x = rng.standard_normal((g.n, 3))
         eps_x -= eps_x.mean(axis=0)
         eps_h = rng.standard_normal((g.n, model.k))

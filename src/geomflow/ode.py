@@ -8,11 +8,12 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-_METHODS = ("euler", "rk4", "adaptive")
+METHODS = ("euler", "rk4", "adaptive")
 
 # Dormand-Prince 5(4) tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -44,22 +45,16 @@ class SolverConfig:
     init_step: float = 0.05
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
         if self.fixed_steps < 1 or self.max_steps < 1:
             raise ValueError("step counts must be >= 1")
-        if self.rtol <= 0 or self.atol <= 0 or self.init_step <= 0:
-            raise ValueError("solver tolerances must be positive")
+        tolerances = (self.rtol, self.atol, self.init_step)
+        if not all(math.isfinite(v) and v > 0 for v in tolerances):
+            raise ValueError("solver tolerances must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "fixed_steps": self.fixed_steps,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "max_steps": self.max_steps,
-            "init_step": self.init_step,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":

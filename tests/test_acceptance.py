@@ -24,9 +24,9 @@ from geomflow.flow import (
     estimate_couplings,
     fm_loss,
     generate,
-    noise_rng,
     random_couplings,
     reflow,
+    sample_noise,
     sample_ode,
     train,
 )
@@ -163,8 +163,8 @@ def test_c03_omt_oracle_agreement():
     single_pass_gaps = []
     for i in range(300):
         n = int(rng.integers(2, 7))
-        z1 = noise_rng(n, 2, rng)
-        z0 = noise_rng(n, 2, rng)
+        z1 = sample_noise(n, 2, rng)
+        z0 = sample_noise(n, 2, rng)
         oracle, _, _ = brute_force_omt(z1, z0, 0.5)
         sol = solve_omt(z1, z0, 0.5, max_iters=30, restarts=32)
         agree += abs(sol.cost - oracle) <= 1e-8
@@ -188,8 +188,8 @@ def test_c04_transform_invariance():
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(2, 7))
-        z1 = noise_rng(n, 2, rng)
-        z0 = noise_rng(n, 2, rng)
+        z1 = sample_noise(n, 2, rng)
+        z0 = sample_noise(n, 2, rng)
         base, _, _ = brute_force_omt(z1, z0, 0.5)
         rot = rotation_from_rng(rng)
         perm = rng.permutation(n)
@@ -219,7 +219,7 @@ def test_c05_equivariance_suite():
             d=3, k=3, hidden=16, flow_layers=2, identity_latent=True, seed=500 + draw
         )
         n = int(rng.integers(3, 9))
-        z = noise_rng(n, 3, rng)
+        z = sample_noise(n, 3, rng)
         t = float(rng.uniform())
         v = forward(model, z, t)
         rot = rotation_from_rng(rng)
@@ -334,7 +334,7 @@ def test_c10_lambda_ablation(trained, dataset):
 
     # lambda = 1 ignores features: perturbation leaves matrix and solution alone
     rng = np.random.default_rng(110)
-    z1, z0 = noise_rng(6, 4, rng), noise_rng(6, 4, rng)
+    z1, z0 = sample_noise(6, 4, rng), sample_noise(6, 4, rng)
     m1 = cost_matrix(z1, z0, 1.0).m
     z1f = LatentGeometry(6, z1.coords, z1.features + rng.standard_normal((6, 4)))
     assert np.array_equal(cost_matrix(z1f, z0, 1.0).m, m1)
@@ -374,7 +374,7 @@ def test_c11_ode_solver_correctness(trained):
     for seed in range(50):
         srng = np.random.default_rng(seed)
         n = sampler.sample(srng)
-        z0 = noise_rng(n, trained.k, srng)
+        z0 = sample_noise(n, trained.k, srng)
         za, _ = sample_ode(trained, z0, adaptive)
         zr, _ = sample_ode(trained, z0, reference)
         ref_vec = np.concatenate([zr.coords.ravel(), zr.features.ravel()])
@@ -393,13 +393,13 @@ def test_c11_ode_solver_correctness(trained):
 
 def test_c12_memorization_smoke():
     rng = np.random.default_rng(5)
-    z0 = noise_rng(4, 3, rng)
-    z1 = noise_rng(4, 3, rng)
+    z0 = sample_noise(4, 3, rng)
+    z1 = sample_noise(4, 3, rng)
     pair, _ = align_pair(CouplingPair(z0, z1), lam=0.5, max_iters=10, restarts=4)
     model = VectorFieldModel(
         d=3, k=3, hidden=32, flow_layers=3, identity_latent=True, seed=6
     )
-    params = model.flow_parameters()
+    params = model.parameters("flow")
     state = AdamState.init(params)
     trng = np.random.default_rng(1)
     steps, tbatch = 8000, 8
@@ -412,7 +412,7 @@ def test_c12_memorization_smoke():
         for _ in range(tbatch):
             l, _ = fm_loss(model, pair, float(trng.uniform()))
             total += l
-        grads = model.flow_gradients()
+        grads = model.gradients("flow")
         for g in grads:
             g *= 1.0 / tbatch
         adam_step(params, grads, state, lr=lr)

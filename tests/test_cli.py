@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomflow import cli, data
+from geomflow import cli, data, flow, ode
 
 
 @pytest.fixture()
@@ -177,3 +179,156 @@ class TestConfigHash:
         assert h1 == cli.config_hash(dict(cfg))
         cfg["lambda"] = 0.25
         assert cli.config_hash(cfg) != h1
+
+
+class TestConfigChecks:
+    # Each case must exit 1 before any work: --data names a missing file,
+    # which would be exit 2 had the config been accepted.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"epochs": "3"}',
+            '{"epochs": 1.5}',
+            '{"epochs": true}',
+            "3",
+            '["epochs", 3]',
+            '{"lr": NaN}',
+            '{"rtol": NaN}',
+            '{"max_radius": Infinity}',
+            '{"lambda": 2}',
+            '{"use_omt": 1}',
+            '{"reflow_pairs": 2.0}',
+            '{"solver": 3}',
+            '{"estimate_solver": "midpoint"}',
+            '{"min_pair_dist": 5.0}',
+            '{"onehot_margin": 0}',
+        ],
+        ids=[
+            "string-for-int", "float-for-int", "bool-for-int", "bare-number",
+            "array", "nan-lr", "nan-rtol", "infinite-max-radius", "lambda-range",
+            "int-for-bool", "float-for-null", "int-for-string", "unknown-method",
+            "rule-order", "rule-margin-range",
+        ],
+    )
+    def test_bad_config_is_usage_error_before_work(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "m.gflow.ckpt"
+        code = run("train", "--data", tmp_path / "missing.jsonl", "--config", bad,
+                   "--out", out)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reflow_checks_config_before_loading(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"lambda": 2}')
+        code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--config", bad,
+                   "--out", tmp_path / "m2.gflow.ckpt")
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"lr": 2, "max_radius": 5, "reflow_pairs": 3, "reflow_epochs": null}',
+         '{"seed": 4, "solver": "euler", "purify": false}'],
+    )
+    def test_matching_kinds_accepted(self, tmp_path, text):
+        good = tmp_path / "good.json"
+        good.write_text(text)
+        cfg = cli.load_config(good)
+        assert {k: cfg[k] for k in json.loads(text)} == json.loads(text)
+
+    def test_defaults_build_the_default_configs(self):
+        assert cli.train_config_from(cli.DEFAULT_CONFIG) == flow.TrainConfig()
+        assert cli.rule_from(cli.DEFAULT_CONFIG) == data.ValidityRule()
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        cfg = {
+            "lambda": 0.3, "sigma0": 0.02, "k": 3, "hidden": 8, "flow_layers": 2,
+            "decoder_layers": 2, "identity_latent": True, "coord_scale": 0.5,
+            "epochs": 4, "batch_size": 5, "lr": 0.003, "seed": 9, "use_omt": False,
+            "omt_iters": 6, "omt_restarts": 7, "ae_epochs": 11, "reflow_rounds": 2,
+            "purify": False, "reflow_pairs": 12, "reflow_epochs": 13,
+            "fresh_reflow": True, "solver": "euler", "fixed_steps": 14, "rtol": 0.002,
+            "atol": 0.0003, "max_steps": 15, "init_step": 0.1,
+            "estimate_solver": "adaptive", "estimate_steps": 16,
+            "min_pair_dist": 0.1, "max_radius": 5.0, "onehot_margin": 0.25,
+        }
+        assert set(cfg) == set(cli.DEFAULT_CONFIG)
+        assert all(cfg[key] != cli.DEFAULT_CONFIG[key] for key in cfg)
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(cfg))
+        loaded = cli.load_config(path)
+        assert loaded == cfg
+
+        def solver(method, steps):
+            return ode.SolverConfig(method=method, fixed_steps=steps, rtol=0.002,
+                                    atol=0.0003, max_steps=15, init_step=0.1)
+
+        assert cli.train_config_from(loaded) == flow.TrainConfig(
+            lam=0.3, epochs=4, batch_size=5, lr=0.003, sigma0=0.02, reflow_rounds=2,
+            purify=False, seed=9, k=3, hidden=8, flow_layers=2, decoder_layers=2,
+            identity_latent=True, coord_scale=0.5, use_omt=False, omt_iters=6,
+            omt_restarts=7, ae_epochs=11, reflow_pairs=12, reflow_epochs=13,
+            fresh_reflow=True, estimate_solver=solver("adaptive", 16),
+            solver=solver("euler", 14),
+        )
+        assert cli.rule_from(loaded) == data.ValidityRule(
+            min_pair_dist=0.1, max_radius=5.0, onehot_margin=0.25
+        )
+
+    @pytest.mark.parametrize(
+        "conf",
+        [{"lr": float("nan")}, {"sigma0": float("inf")}, {"coord_scale": float("nan")}],
+    )
+    def test_train_config_rejects_non_finite(self, conf):
+        with pytest.raises(ValueError, match="finite"):
+            flow.TrainConfig(**conf)
+
+    @pytest.mark.parametrize(
+        "conf", [{"rtol": float("nan")}, {"atol": float("inf")}, {"init_step": float("nan")}]
+    )
+    def test_solver_config_rejects_non_finite(self, conf):
+        with pytest.raises(ValueError, match="finite"):
+            ode.SolverConfig(**conf)
+
+    @pytest.mark.parametrize(
+        "conf", [{"max_radius": float("inf")}, {"min_pair_dist": float("nan")}]
+    )
+    def test_validity_rule_rejects_non_finite(self, conf):
+        with pytest.raises(ValueError, match="finite"):
+            data.ValidityRule(**conf)
+
+
+class TestGendataSpecChecks:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "3",
+            '["num_templates", 2]',
+            '{"rule": {"min_dist": 0.1}}',
+            '{"rule": 3}',
+            '{"rule": {"max_radius": -1.0}}',
+            '{"num_templates": 0}',
+        ],
+        ids=["bare-number", "array", "unknown-rule-key", "non-object-rule",
+             "rule-range", "spec-range"],
+    )
+    def test_bad_spec_is_usage_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        out = tmp_path / "ds.geoms.jsonl"
+        assert run("gendata", "--spec", path, "--count", 3, "--out", out) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReadmeConfigTable:
+    def test_table_lists_every_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
+        table = {key: json.loads(default) for key, default in rows}
+        assert table == cli.DEFAULT_CONFIG
+        for key, default in table.items():
+            assert type(default) is type(cli.DEFAULT_CONFIG[key]), key

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from geomflow import flow as flow_module
 from geomflow.data import TemplateSpec, make_dataset
 from geomflow.flow import (
     CouplingPair,
@@ -12,7 +15,6 @@ from geomflow.flow import (
     fm_loss,
     generate,
     interpolate,
-    noise_rng,
     random_couplings,
     reflow,
     sample_noise,
@@ -153,19 +155,19 @@ class TestMemorization:
     # quick loss-floor smoke test.
     def test_single_pair_overfit(self):
         rng = np.random.default_rng(5)
-        z0 = noise_rng(4, 3, rng)
-        z1 = noise_rng(4, 3, rng)
+        z0 = sample_noise(4, 3, rng)
+        z1 = sample_noise(4, 3, rng)
         pair, _ = align_pair(CouplingPair(z0, z1), lam=0.5, max_iters=10, restarts=4)
         model = VectorFieldModel(d=3, k=3, hidden=16, flow_layers=2,
                                  identity_latent=True, seed=6)
-        params = model.flow_parameters()
+        params = model.parameters("flow")
         state = AdamState.init(params)
         losses = []
         for step in range(2500):
             lr = 3e-3 if step < 1500 else 3e-4
             model.zero_grads()
             loss, _ = fm_loss(model, pair, float(rng.uniform()))
-            adam_step(params, model.flow_gradients(), state, lr=lr)
+            adam_step(params, model.gradients("flow"), state, lr=lr)
             losses.append(loss)
             if loss < 1e-4:
                 break
@@ -194,6 +196,19 @@ class TestTrain:
         model, _ = train(ds, tiny_config(epochs=1))
         assert model.meta["train_size"] == 24
         assert set(model.meta["size_hist"]) == {"4", "5"}
+
+    def test_without_omt_never_aligns_and_is_deterministic(self, monkeypatch):
+        def no_alignment(*args, **kwargs):
+            raise AssertionError("solve_omt called with use_omt=False")
+
+        monkeypatch.setattr(flow_module, "solve_omt", no_alignment)
+        ds = tiny_dataset(24)
+        m1, l1 = train(ds, tiny_config(epochs=1, use_omt=False, seed=4))
+        m2, l2 = train(ds, tiny_config(epochs=1, use_omt=False, seed=4))
+        m3, _ = train(ds, tiny_config(epochs=1, use_omt=False, seed=5))
+        assert l1 == l2
+        assert np.array_equal(m1.get_flat(), m2.get_flat())
+        assert not np.array_equal(m1.get_flat(), m3.get_flat())
 
 
 class TestSampleOde:
@@ -283,6 +298,19 @@ class TestReflow:
         _, cset = reflow(model, tiny_config(), alternating)
         assert len(cset) == 15
         assert all(p.valid for p in cset)
+
+    def test_fresh_reflow_keeps_arch_and_is_deterministic(self):
+        ds = tiny_dataset(24)
+        model, _ = train(ds, tiny_config(epochs=1))
+        conf = tiny_config(fresh_reflow=True, seed=7)
+        a, _ = reflow(model, conf, lambda g: True)
+        b, _ = reflow(model, conf, lambda g: True)
+        c, _ = reflow(model, replace(conf, seed=8), lambda g: True)
+        assert a is not model
+        assert a.arch_dict() == model.arch_dict()
+        assert not np.array_equal(a.get_flat(), model.get_flat())
+        assert np.array_equal(a.get_flat(), b.get_flat())
+        assert not np.array_equal(a.get_flat(), c.get_flat())
 
     def test_requires_trained_model(self):
         model = VectorFieldModel(d=3, k=3, hidden=8, flow_layers=1,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geomflow.flow import noise_rng
+from geomflow.flow import sample_noise
 from geomflow.geometry import LatentGeometry, random_rotation
 from geomflow.nn import (
     AdamState,
@@ -26,7 +26,7 @@ def small_model(seed=0, d=3, k=3, hidden=10, layers=2):
 
 
 def random_latent(seed, n=5, k=3):
-    return noise_rng(n, k, np.random.default_rng(seed))
+    return sample_noise(n, k, np.random.default_rng(seed))
 
 
 class TestDenseNet:
@@ -336,6 +336,6 @@ class TestParameterPlumbing:
 
     def test_identity_latent_has_no_ae_params(self):
         model = small_model(38)
-        assert model.ae_parameters() == []
+        assert model.parameters("ae") == []
         full = VectorFieldModel(d=4, k=2, hidden=8, flow_layers=1, seed=39)
-        assert len(full.ae_parameters()) > 0
+        assert len(full.parameters("ae")) > 0
