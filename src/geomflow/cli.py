@@ -192,6 +192,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _flag_checked(build, *args, **kwargs):
+    """`build(*args, **kwargs)`, its range errors reported as usage errors:
+    checks command-line flags before any file is read."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise UsageError(f"bad flag value: {e}") from e
+
+
 def _shuffled_baseline(cset: flow.CouplingSet) -> flow.CouplingSet:
     """Re-pair noises with targets of the same size (cyclic shift per size)."""
     by_n: dict = {}
@@ -207,14 +216,14 @@ def _shuffled_baseline(cset: flow.CouplingSet) -> flow.CouplingSet:
 
 def cmd_reflow(args) -> int:
     cfg = load_config(args.config)
-    model = data.load_checkpoint(args.ckpt)
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg["reflow_rounds"] = 1  # the loop below handles rounds one at a time
     cfg["purify"] = args.purify == "on"
     if args.pairs is not None:
         cfg["reflow_pairs"] = args.pairs
-    tconf = train_config_from(cfg)
+    tconf = _flag_checked(train_config_from, cfg)
+    model = data.load_checkpoint(args.ckpt)
     rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
 
@@ -263,8 +272,8 @@ def cmd_reflow(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model = data.load_checkpoint(args.ckpt)
-    solver = ode.SolverConfig(
+    solver = _flag_checked(
+        ode.SolverConfig,
         method=args.solver,
         fixed_steps=args.steps,
         rtol=args.rtol,
@@ -272,6 +281,9 @@ def cmd_sample(args) -> int:
         max_steps=args.max_steps,
         init_step=args.init_step,
     )
+    if args.count < 0:
+        raise UsageError("--count must be >= 0")
+    model = data.load_checkpoint(args.ckpt)
     if "size_hist" not in model.meta:
         raise ValueError("checkpoint has no size histogram; was it trained?")
     sampler = flow.SizeSampler.from_histogram(model.meta["size_hist"])
@@ -280,10 +292,7 @@ def cmd_sample(args) -> int:
     wall = time.perf_counter() - t0
     geoms = [g for g, _ in out]
     steps = [s for _, s in out]
-    if geoms:
-        data.save_geometries(args.out, geoms)
-    else:
-        open(args.out, "w").close()
+    data.save_geometries(args.out, geoms)
     rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else None
     if geoms and rule is not None:
         validity = sum(1 for g in geoms if data.is_valid(g, rule)[0]) / len(geoms)

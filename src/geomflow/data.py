@@ -18,10 +18,12 @@ File formats owned here:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -212,8 +214,24 @@ def make_dataset(spec: TemplateSpec, count: int, rule: ValidityRule | None = Non
 # persistence
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode, **kwargs):
+    """Open a fresh file beside `path` for writing; it replaces `path` when
+    the block ends and is removed if the block raises, so `path` holds
+    either its old bytes or all of the new ones."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_geometries(path, geoms):
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path, "w", encoding="utf-8") as f:
         for g in geoms:
             rec = {
                 "n": int(g.n),
@@ -257,7 +275,7 @@ def save_checkpoint(path, model: VectorFieldModel):
         "param_count": model.param_count,
         "version": CKPT_VERSION,
     }
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         f.write(model.get_flat().astype("<f8").tobytes())
 
@@ -301,7 +319,7 @@ _SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
 def save_pairs(path, cset: CouplingSet):
     k = cset.k if len(cset) else 0
     header = {"count": len(cset), "k": k, "version": PAIRS_VERSION}
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         for p in cset:
             f.write(struct.pack("<I", p.z0.n))
@@ -386,7 +404,7 @@ def read_metrics(path):
 
 
 def save_loss_curve(path, losses):
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         for i, v in enumerate(losses):

@@ -125,6 +125,8 @@ class TrainConfig:
             raise ValueError("lr, sigma0 and coord_scale must be finite")
         if self.reflow_rounds < 0:
             raise ValueError("reflow_rounds must be >= 0")
+        if self.reflow_pairs is not None and self.reflow_pairs < 1:
+            raise ValueError("reflow_pairs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -327,20 +329,23 @@ def _unpack(y: np.ndarray, n: int, k: int) -> LatentGeometry:
     return LatentGeometry(n, y[: 3 * n].reshape(n, 3), y[3 * n :].reshape(n, k))
 
 
-def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig):
+def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig, n=None):
     """Integrate the learned field from the noise sample to t = 1.
 
-    Returns (terminal latent geometry, accepted step count).
+    With `n`, z0 stacks z0.n // n draws of n points, integrated as one
+    state: a fixed-step solver brings each draw to the endpoint it reaches
+    alone, bit for bit, while an adaptive one would choose one step size for
+    all. Returns (terminal latent geometry, accepted step count).
     """
     if z0.k != model.k:
         raise ValueError("latent feature width mismatch")
-    n, k = z0.n, z0.k
+    rows, k = z0.n, z0.k
 
     def f(t, y):
-        return _pack(model.velocity(_unpack(y, n, k), t, cache=False))
+        return _pack(model.velocity(_unpack(y, rows, k), t, cache=False, n=n))
 
     y1, steps = integrate(f, _pack(z0), solver)
-    return _unpack(y1, n, k), steps
+    return _unpack(y1, rows, k), steps
 
 
 def _spawned(seed, count):
@@ -355,17 +360,57 @@ def _map_indexed(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+# Most edges, b * n * (n - 1), in one stacked solve: bounds the edge arrays of
+# a velocity call (a few MB at hidden width 64) however many draws share n.
+_STACK_EDGES = 4096
+
+
+def _stacks(draws, fixed_step):
+    """Indices of `draws` in solve order, split into stacks: one stack per
+    draw, or with a fixed-step solver per point count up to _STACK_EDGES."""
+    groups: dict = {}
+    for i, z in enumerate(draws):
+        groups.setdefault(z.n if fixed_step else i, []).append(i)
+    stacks = []
+    for idx in groups.values():
+        n = draws[idx[0]].n
+        size = max(1, _STACK_EDGES // max(1, n * (n - 1)))
+        stacks += [idx[start : start + size] for start in range(0, len(idx), size)]
+    return stacks
+
+
 def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed,
                threads):
     """(noise, ODE endpoint, accepted steps) for each of `count` draws, each
-    draw from its own child of `seed`."""
+    draw from its own child of `seed`, in draw order.
 
-    def one(ss):
+    Draws of one size that share a fixed-step solve are integrated as one
+    stacked state; `threads` maps over the stacks.
+    """
+    draws = []
+    for ss in _spawned(seed, count):
         rng = np.random.default_rng(ss)
-        z0 = sample_noise(size_sampler.sample(rng), model.k, rng)
-        return (z0, *sample_ode(model, z0, solver))
+        draws.append(sample_noise(size_sampler.sample(rng), model.k, rng))
 
-    return _map_indexed(one, _spawned(seed, count), threads)
+    def solve(idx):
+        n = draws[idx[0]].n
+        z0 = LatentGeometry(
+            n * len(idx),
+            np.concatenate([draws[i].coords for i in idx]),
+            np.concatenate([draws[i].features for i in idx]),
+        )
+        z1, steps = sample_ode(model, z0, solver, n)
+        return [
+            (i, LatentGeometry(n, z1.coords[s * n : (s + 1) * n],
+                               z1.features[s * n : (s + 1) * n]), steps)
+            for s, i in enumerate(idx)
+        ]
+
+    out = [None] * count
+    for solved in _map_indexed(solve, _stacks(draws, solver.method != "adaptive"), threads):
+        for i, z1, steps in solved:
+            out[i] = (draws[i], z1, steps)
+    return out
 
 
 def generate(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed, threads=1):

@@ -18,6 +18,7 @@ Two floating-point disciplines matter here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,9 @@ GRAD_CHECK_PARAM_LIMIT = 5000
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; the two branches of the logistic share it.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(z):
@@ -51,33 +49,38 @@ def _rowwise_matmul(a, w):
     return np.einsum("ni,oi->no", a, w, optimize=False)
 
 
-_EDGE_CACHE: dict[int, tuple] = {}
-
-
-def _edges(n: int):
-    """Fully connected directed edge lists, i-major, plus the j-major order."""
-    if n not in _EDGE_CACHE:
-        i_idx = np.repeat(np.arange(n), n - 1)
-        j_idx = np.concatenate(
-            [np.delete(np.arange(n), i) for i in range(n)]
-        ) if n > 1 else np.zeros(0, dtype=np.intp)
-        jmaj = np.lexsort((i_idx, j_idx))
-        _EDGE_CACHE[n] = (i_idx.astype(np.intp), j_idx.astype(np.intp), jmaj)
-    return _EDGE_CACHE[n]
+@functools.lru_cache(maxsize=64)
+def _edges(n: int, b: int):
+    """Fully connected directed edge lists of b stacked sets of n points,
+    i-major within each set, plus the j-major order of each set."""
+    i_idx = np.repeat(np.arange(n), n - 1)
+    j_idx = np.concatenate(
+        [np.delete(np.arange(n), i) for i in range(n)]
+    ) if n > 1 else np.zeros(0, dtype=np.intp)
+    jmaj = np.lexsort((i_idx, j_idx))
+    set_rows = n * np.arange(b)[:, None]
+    set_edges = n * (n - 1) * np.arange(b)[:, None]
+    lists = (i_idx + set_rows, j_idx + set_rows, jmaj + set_edges)
+    out = tuple(np.ascontiguousarray(a.ravel(), dtype=np.intp) for a in lists)
+    for a in out:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
 def _reduce_i(vals, n):
     """Sum edge values per source node, summands in sorted (canonical) order."""
-    return np.sort(vals.reshape(n, n - 1, vals.shape[1]), axis=1).sum(axis=1)
+    return np.sort(vals.reshape(-1, n - 1, vals.shape[1]), axis=1).sum(axis=1)
 
 
 def _reduce_j(vals, n, jmaj):
     """Sum edge values per neighbour node, summands in sorted order."""
-    return np.sort(vals[jmaj].reshape(n, n - 1, vals.shape[1]), axis=1).sum(axis=1)
+    return np.sort(vals[jmaj].reshape(-1, n - 1, vals.shape[1]), axis=1).sum(axis=1)
 
 
-def _sorted_mean(vals):
-    return np.sort(vals, axis=0).sum(axis=0) / vals.shape[0]
+def _center_sets(vals, n):
+    """Subtract from each set of n rows its mean, summed in sorted order."""
+    sets = vals.reshape(-1, n, vals.shape[1])
+    return (sets - np.sort(sets, axis=1).sum(axis=1, keepdims=True) / n).reshape(vals.shape)
 
 
 class DenseNet:
@@ -103,23 +106,25 @@ class DenseNet:
     def forward(self, x, cache=True):
         x = np.asarray(x, dtype=np.float64)
         last = len(self.weights) - 1
-        xs, zs = [], []
+        xs, zs, ss = [], [], []
         a = x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             xs.append(a)
             z = _rowwise_matmul(a, w) + b
             if l < last:
+                s = sigmoid(z)
                 zs.append(z)
-                a = silu(z)
+                ss.append(s)
+                a = z * s
             else:
                 a = z
-        self._cache = (xs, zs) if cache else None
+        self._cache = (xs, zs, ss) if cache else None
         return a
 
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
-        xs, zs = self._cache
+        xs, zs, ss = self._cache
         dy = np.asarray(dy, dtype=np.float64)
         dx = None
         for l in range(len(self.weights) - 1, -1, -1):
@@ -127,7 +132,9 @@ class DenseNet:
             self.grad_b[l] += dy.sum(axis=0)
             dx = dy @ self.weights[l]
             if l > 0:
-                dy = dx * silu_grad(zs[l - 1])
+                # silu_grad(z), from the sigmoid the forward pass kept
+                z, s = zs[l - 1], ss[l - 1]
+                dy = dx * (s * (1.0 + z * (1.0 - s)))
         self._cache = None
         return dx
 
@@ -174,38 +181,43 @@ class EquivariantLayer:
         self.node_net = DenseNet([2 * width, width, width], rng)
         self._cache = None
 
-    def forward(self, x, h, cache=True):
-        n = x.shape[0]
+    def forward(self, x, h, cache=True, n=None):
+        """Update b stacked sets of n points; x and h hold b*n rows, set by
+        set. Each set's output bits are those of its own unstacked pass."""
+        n = x.shape[0] if n is None else n
+        b = x.shape[0] // n
         if n == 1:
-            n_in = np.concatenate([h, np.zeros((1, self.width))], axis=1)
+            n_in = np.concatenate([h, np.zeros((b, self.width))], axis=1)
             h_out = self.node_net.forward(n_in, cache)
-            self._cache = (None, None, n) if cache else None
+            self._cache = (None, None, n, b) if cache else None
             return x.copy(), h_out
-        i_idx, j_idx, _ = _edges(n)
+        i_idx, j_idx, _ = _edges(n, b)
         diff = x[i_idx] - x[j_idx]
         d2 = np.einsum("ei,ei->e", diff, diff, optimize=False)[:, None]
         e_in = np.concatenate([h[i_idx], h[j_idx], d2], axis=1)
         m = self.edge_net.forward(e_in, cache)
         w = self.coord_net.forward(m, cache)
         delta = _reduce_i(diff * w, n) * (self.coord_scale / (n - 1))
-        delta = delta - _sorted_mean(delta)
+        delta = _center_sets(delta, n)
         agg = _reduce_i(m, n)
         h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), cache)
-        self._cache = (diff, w, n) if cache else None
+        self._cache = (diff, w, n, b) if cache else None
         return x + delta, h_out
 
     def backward(self, dx_out, dh_out):
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
-        diff, w, n = self._cache
+        diff, w, n, b = self._cache
         width = self.width
         dn_in = self.node_net.backward(dh_out)
         dh = dn_in[:, :width].copy()
         dagg = dn_in[:, width:]
         dx = np.array(dx_out, dtype=np.float64, copy=True)
         if n > 1:
-            i_idx, j_idx, jmaj = _edges(n)
-            ddelta = (dx_out - dx_out.mean(axis=0)) * (self.coord_scale / (n - 1))
+            i_idx, j_idx, jmaj = _edges(n, b)
+            sets = dx.reshape(b, n, 3)
+            ddelta = (sets - sets.mean(axis=1, keepdims=True)).reshape(dx.shape) * (
+                self.coord_scale / (n - 1))
             dwdiff = ddelta[i_idx]
             dw = np.einsum("ei,ei->e", dwdiff, diff, optimize=False)[:, None]
             ddiff = dwdiff * w
@@ -343,20 +355,23 @@ class VectorFieldModel:
 
     # -- velocity field ------------------------------------------------------
 
-    def velocity(self, z: LatentGeometry, t: float, cache=False) -> LatentGeometry:
+    def velocity(self, z: LatentGeometry, t: float, cache=False, n=None) -> LatentGeometry:
+        """v(z, t); with `n`, z stacks z.n // n sets of n points, each
+        evaluated as if alone."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
         if z.k != self.k:
             raise ValueError("latent feature width mismatch")
-        n = z.n
-        h_in = np.concatenate([z.features, np.full((n, 1), float(t))], axis=1)
+        if n is not None and (n < 1 or z.n % n):
+            raise ValueError("stacked rows are not a whole number of sets")
+        h_in = np.concatenate([z.features, np.full((z.n, 1), float(t))], axis=1)
         h = self.flow_embed.forward(h_in, cache)
         x = np.asarray(z.coords)
         for layer in self.flow_stack:
-            x, h = layer.forward(x, h, cache)
+            x, h = layer.forward(x, h, cache, n)
         vh = self.flow_out.forward(h, cache)
         self._flow_cached = cache
-        return LatentGeometry(n, x - z.coords, vh)
+        return LatentGeometry(z.n, x - z.coords, vh)
 
     def backward_velocity(self, dvx, dvh):
         """Pull the velocity adjoint back to (dz_x, dz_h); accumulates grads."""

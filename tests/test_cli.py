@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomflow import cli, data, flow, ode
+from geomflow import cli, data, flow, nn, ode
 
 
 @pytest.fixture()
@@ -299,6 +299,65 @@ class TestConfigChecks:
     def test_validity_rule_rejects_non_finite(self, conf):
         with pytest.raises(ValueError, match="finite"):
             data.ValidityRule(**conf)
+
+
+class TestFlagChecks:
+    # Each case must exit 1 before any work: --ckpt names a missing file,
+    # which would be exit 2 had the flags been accepted.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rtol", "nan"],
+            ["--atol", "-1e-5"],
+            ["--count", "-1"],
+            ["--steps", "0"],
+            ["--max-steps", "0"],
+            ["--init-step", "0"],
+            ["--init-step", "-0.1"],
+        ],
+        ids=["nan-rtol", "negative-atol", "negative-count", "zero-steps",
+             "zero-max-steps", "zero-init-step", "negative-init-step"],
+    )
+    def test_bad_sample_flag_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "gen.geoms.jsonl"
+        args = {"--count": "3", **dict(zip(flags[::2], flags[1::2]))}
+        code = run("sample", "--ckpt", tmp_path / "missing.gflow.ckpt", "--out", out,
+                   *[a for item in args.items() for a in item])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_bad_reflow_pairs_is_usage_error(self, tmp_path, capsys, pairs):
+        out = tmp_path / "m2.gflow.ckpt"
+        code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--pairs", pairs,
+                   "--out", out)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_reflow_pairs_in_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"reflow_pairs": 0}')
+        code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--config", bad,
+                   "--out", tmp_path / "m2.gflow.ckpt")
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_diverging_field_is_exit_2(self, tmp_path, capsys):
+        model = nn.VectorFieldModel(d=3, k=3, hidden=12, flow_layers=2,
+                                    identity_latent=True, seed=21)
+        model.set_flat(model.get_flat() * 10.0)
+        model.meta = {"size_hist": {"3": 3, "5": 2, "8": 1}}
+        ckpt = tmp_path / "wild.gflow.ckpt"
+        data.save_checkpoint(ckpt, model)
+        out = tmp_path / "gen.geoms.jsonl"
+        with np.errstate(all="ignore"):
+            code = run("sample", "--ckpt", ckpt, "--count", 6, "--solver", "rk4",
+                       "--steps", 10, "--out", out)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGendataSpecChecks:

@@ -20,6 +20,7 @@ from geomflow.data import (
     read_metrics,
     save_checkpoint,
     save_geometries,
+    save_loss_curve,
     save_pairs,
     snap_onehot,
 )
@@ -267,6 +268,43 @@ class TestPairsPersistence:
         path = tmp_path / "e.pairs.bin"
         save_pairs(path, CouplingSet([]))
         assert len(load_pairs(path)) == 0
+
+
+class TestAtomicWrites:
+    """A save that raises part-way leaves the old file and no other."""
+
+    @pytest.mark.parametrize("kind", ["ckpt", "pairs", "geoms", "loss"])
+    def test_failed_save_keeps_old_bytes_and_leaves_no_file(self, tmp_path, kind):
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"old bytes\n")
+        model = VectorFieldModel(d=3, k=2, hidden=8, flow_layers=1, seed=5)
+        geoms = make_dataset(small_spec(), 3)
+        pairs = CouplingSet([CouplingPair(sample_noise(4, 2, 0), sample_noise(4, 2, 1))])
+        if kind == "ckpt":
+            model.get_flat = _raise  # fails after the header line is written
+            save = lambda: save_checkpoint(path, model)
+        elif kind == "pairs":
+            pairs.pairs.append(None)  # fails after the first record
+            save = lambda: save_pairs(path, pairs)
+        elif kind == "geoms":
+            save = lambda: save_geometries(path, geoms + [None])
+        else:
+            save = lambda: save_loss_curve(path, [1.0, 0.5, "not a number"])
+        with pytest.raises((RuntimeError, AttributeError, ValueError)):
+            save()
+        assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_successful_save_replaces_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("old\n")
+        save_loss_curve(path, [1.0, 0.5])
+        assert path.read_text().splitlines() == ["step,loss", "0,1.0", "1,0.5"]
+        assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("write failed part-way")
 
 
 class TestMetrics:

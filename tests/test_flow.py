@@ -22,7 +22,7 @@ from geomflow.flow import (
     train,
 )
 from geomflow.geometry import LatentGeometry
-from geomflow.nn import AdamState, VectorFieldModel, adam_step, forward
+from geomflow.nn import AdamState, VectorFieldModel, adam_step, decode, forward
 from geomflow.ode import SolverConfig
 
 
@@ -258,6 +258,83 @@ class TestGenerate:
         parallel = generate(model, sampler, 8, solver, seed=3, threads=4)
         for (ga, _), (gb, _) in zip(serial, parallel):
             assert np.array_equal(ga.coords, gb.coords)
+
+
+def mixed_sizes_model():
+    return VectorFieldModel(d=3, k=3, hidden=12, flow_layers=2,
+                            identity_latent=True, seed=21)
+
+
+MIXED_SIZES = SizeSampler.from_histogram({3: 3, 5: 2, 8: 1})
+
+
+def per_draw_endpoints(model, count, solver, seed):
+    """(noise, endpoint, steps) of each draw, integrated one by one."""
+    out = []
+    for ss in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(ss)
+        z0 = sample_noise(MIXED_SIZES.sample(rng), model.k, rng)
+        out.append((z0, *sample_ode(model, z0, solver)))
+    return out
+
+
+class TestStackedEndpoints:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("cap", [None, 40])
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_bitwise_equal_to_per_draw_sample_ode(self, monkeypatch, method, cap, threads):
+        if cap is not None:
+            # splits the stacks of 3 and 5 points and leaves 8 points alone
+            monkeypatch.setattr(flow_module, "_STACK_EDGES", cap)
+        model = mixed_sizes_model()
+        solver = SolverConfig(method, fixed_steps=5)
+        want = per_draw_endpoints(model, 14, solver, seed=0)
+        assert len({z0.n for z0, _, _ in want}) == 3
+        got = generate(model, MIXED_SIZES, 14, solver, seed=0, threads=threads)
+        est = estimate_couplings(model, 14, solver, 0, MIXED_SIZES, threads=threads)
+        for (z0, z1, steps), (g, g_steps), pair in zip(want, got, est, strict=True):
+            assert g_steps == steps == 5
+            ref = decode(model, z1)
+            assert np.array_equal(g.coords, ref.coords)
+            assert np.array_equal(g.features, ref.features)
+            for a, b in ((pair.z0, z0), (pair.z1, z1)):
+                assert np.array_equal(a.coords, b.coords)
+                assert np.array_equal(a.features, b.features)
+
+    def test_stacks_group_fixed_step_draws_by_size_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "_STACK_EDGES", 40)
+        draws = [sample_noise(n, 2, i) for i, n in enumerate([3, 5, 3, 8, 5, 3, 5, 8, 3, 5])]
+        stacks = flow_module._stacks(draws, fixed_step=True)
+        assert sorted(i for idx in stacks for i in idx) == list(range(10))
+        for idx in stacks:
+            n = draws[idx[0]].n
+            assert all(draws[i].n == n for i in idx) and idx == sorted(idx)
+            assert len(idx) == 1 or len(idx) * n * (n - 1) <= 40
+        assert [len(idx) for idx in stacks] == [4, 2, 2, 1, 1]
+
+    def test_adaptive_draws_are_solved_one_by_one(self):
+        draws = [sample_noise(n, 2, i) for i, n in enumerate([3, 3, 5, 3])]
+        assert flow_module._stacks(draws, fixed_step=False) == [[0], [1], [2], [3]]
+
+    def test_adaptive_generate_matches_per_draw(self):
+        model = mixed_sizes_model()
+        solver = SolverConfig("adaptive")
+        want = per_draw_endpoints(model, 5, solver, seed=4)
+        got = generate(model, MIXED_SIZES, 5, solver, seed=4, threads=2)
+        for (_, z1, steps), (g, g_steps) in zip(want, got, strict=True):
+            assert g_steps == steps
+            assert np.array_equal(g.coords, decode(model, z1).coords)
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_diverging_field_fails_as_per_draw(self, method):
+        model = mixed_sizes_model()
+        model.set_flat(model.get_flat() * 10.0)
+        solver = SolverConfig(method, fixed_steps=10)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                per_draw_endpoints(model, 6, solver, seed=1)
+            with pytest.raises(ValueError, match="must be finite"):
+                generate(model, MIXED_SIZES, 6, solver, seed=1)
 
 
 class TestSizeSampler:

@@ -14,6 +14,7 @@ from geomflow.nn import (
     encode,
     forward,
     grad_check,
+    sigmoid,
     silu,
     silu_grad,
 )
@@ -339,3 +340,106 @@ class TestParameterPlumbing:
         assert model.parameters("ae") == []
         full = VectorFieldModel(d=4, k=2, hidden=8, flow_layers=1, seed=39)
         assert len(full.parameters("ae")) > 0
+
+
+def masked_sigmoid(z):
+    """The boolean-mask logistic that `sigmoid` must reproduce bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def stack(zs):
+    return LatentGeometry(
+        sum(z.n for z in zs),
+        np.concatenate([z.coords for z in zs]),
+        np.concatenate([z.features for z in zs]),
+    )
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_formula(self):
+        rng = np.random.default_rng(40)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0,
+                            -800.0, 710.0, -710.0, 36.7, -36.7, 1e-300, -1e-300])
+        wide = rng.uniform(-800.0, 800.0, 5000)
+        narrow = rng.standard_normal((300, 7)) * 4.0
+        strided = (narrow.T, narrow[::3, 1::2])
+        assert not any(z.flags.c_contiguous for z in strided)
+        with np.errstate(invalid="ignore"):
+            for z in (special, wide, narrow, *strided):
+                got, want = sigmoid(z), masked_sigmoid(z)
+                # NaN in gives NaN out; every other output has the same bits
+                # (the sign of an output NaN may differ).
+                nan = np.isnan(z)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    def test_keeps_shape_and_never_overflows(self):
+        z = np.linspace(-800.0, 800.0, 24).reshape(4, 6)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = sigmoid(z)
+        assert out.shape == z.shape and out.dtype == np.float64
+
+
+class TestDenseTape:
+    def test_backward_matches_silu_grad_bitwise(self):
+        rng = np.random.default_rng(41)
+        net = DenseNet([5, 7, 6, 3], rng)
+        x = rng.standard_normal((9, 5))
+        dy = rng.standard_normal((9, 3))
+        net.forward(x)
+        dx = net.backward(dy)
+        # the same chain rule with the activation slope recomputed
+        zs, a = [], x
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            z = np.einsum("ni,oi->no", a, w, optimize=False) + b
+            zs.append(z)
+            a = silu(z)
+        d = dy
+        for l in range(len(net.weights) - 1, -1, -1):
+            d_in = d @ net.weights[l]
+            if l > 0:
+                d = d_in * silu_grad(zs[l - 1])
+        np.testing.assert_array_equal(dx, d_in)
+
+
+@pytest.mark.parametrize("identity_latent", [True, False])
+@pytest.mark.parametrize("b", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 29])
+def test_stacked_velocity_bitwise_equals_per_geometry(n, b, identity_latent):
+    model = VectorFieldModel(d=3, k=3, hidden=10, flow_layers=2,
+                             identity_latent=identity_latent, seed=n * 10 + b)
+    zs = [random_latent(100 * n + s, n=n) for s in range(b)]
+    v = model.velocity(stack(zs), 0.37, n=n)
+    for s, z in enumerate(zs):
+        u = model.velocity(z, 0.37)
+        assert np.array_equal(v.coords[s * n : (s + 1) * n], u.coords)
+        assert np.array_equal(v.features[s * n : (s + 1) * n], u.features)
+
+
+class TestStackedVelocity:
+    def test_rows_must_be_whole_sets(self):
+        with pytest.raises(ValueError, match="whole number of sets"):
+            small_model(42).velocity(random_latent(43, n=7), 0.5, n=3)
+
+    def test_stacked_backward_matches_per_geometry(self):
+        model = small_model(44)
+        zs = [random_latent(45 + s, n=4) for s in range(3)]
+        rng = np.random.default_rng(48)
+        dvx, dvh = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
+        model.zero_grads()
+        model.velocity(stack(zs), 0.6, cache=True, n=4)
+        dzx, dzh = model.backward_velocity(dvx, dvh)
+        stacked = [g.copy() for g in model.gradients()]
+        model.zero_grads()
+        for s, z in enumerate(zs):
+            model.velocity(z, 0.6, cache=True)
+            ex, eh = model.backward_velocity(dvx[4 * s : 4 * s + 4], dvh[4 * s : 4 * s + 4])
+            np.testing.assert_allclose(dzx[4 * s : 4 * s + 4], ex, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dzh[4 * s : 4 * s + 4], eh, rtol=1e-12, atol=1e-12)
+        for a, b in zip(stacked, model.gradients()):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
