@@ -11,6 +11,7 @@ from .geometry import (
     center_of_mass,
     project_zero_com,
     random_rotation,
+    sample_noise,
 )
 from .alignment import (
     CostMatrix,
@@ -48,7 +49,6 @@ from .flow import (
     interpolate,
     random_couplings,
     reflow,
-    sample_noise,
     sample_ode,
     train,
 )

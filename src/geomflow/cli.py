@@ -54,23 +54,17 @@ class RunMetrics:
         return {name: "" if v is None else v for name, v in asdict(self).items()}
 
 
-# The flat config is TrainConfig's fields, with `lam` named "lambda" and each
-# of its two solvers flattened into a method key and a step-count key (the
-# tolerances are shared), followed by ValidityRule's fields.
+# The flat config is TrainConfig's fields, with `lam` named "lambda" and its
+# estimate_solver flattened through _SOLVER_KEYS, followed by ValidityRule's
+# fields.
 _RENAMED = {"lam": "lambda"}
-_SOLVER_KEYS = {"solver": "fixed_steps", "estimate_solver": "estimate_steps"}
-_SHARED_SOLVER_FIELDS = ("rtol", "atol", "max_steps", "init_step")
+_SOLVER_KEYS = {"method": "estimate_solver", "fixed_steps": "estimate_steps"}
 
 
 def _flatten(tconf: flow.TrainConfig, rule: data.ValidityRule) -> dict:
-    flat = {}
-    for f in fields(tconf):
-        value = getattr(tconf, f.name)
-        if f.name in _SOLVER_KEYS:
-            flat[f.name], flat[_SOLVER_KEYS[f.name]] = value.method, value.fixed_steps
-        else:
-            flat[_RENAMED.get(f.name, f.name)] = value
-    flat.update({name: getattr(tconf.solver, name) for name in _SHARED_SOLVER_FIELDS})
+    flat = {_RENAMED.get(f.name, f.name): getattr(tconf, f.name) for f in fields(tconf)}
+    solver = flat.pop("estimate_solver")
+    flat.update({_SOLVER_KEYS.get(k, k): v for k, v in asdict(solver).items()})
     flat.update(asdict(rule))
     return flat
 
@@ -79,16 +73,13 @@ DEFAULT_CONFIG = _flatten(flow.TrainConfig(), data.ValidityRule())
 
 
 def train_config_from(cfg: dict) -> flow.TrainConfig:
-    shared = {name: cfg[name] for name in _SHARED_SOLVER_FIELDS}
-    kwargs = {}
-    for f in fields(flow.TrainConfig):
-        if f.name in _SOLVER_KEYS:
-            kwargs[f.name] = ode.SolverConfig(
-                method=cfg[f.name], fixed_steps=cfg[_SOLVER_KEYS[f.name]], **shared
-            )
-        else:
-            kwargs[f.name] = cfg[_RENAMED.get(f.name, f.name)]
-    return flow.TrainConfig(**kwargs)
+    solver = ode.SolverConfig(
+        **{f.name: cfg[_SOLVER_KEYS.get(f.name, f.name)] for f in fields(ode.SolverConfig)}
+    )
+    return flow.TrainConfig(**{
+        f.name: solver if f.name == "estimate_solver" else cfg[_RENAMED.get(f.name, f.name)]
+        for f in fields(flow.TrainConfig)
+    })
 
 
 def rule_from(cfg: dict) -> data.ValidityRule:
@@ -218,11 +209,13 @@ def cmd_reflow(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg["reflow_rounds"] = 1  # the loop below handles rounds one at a time
-    cfg["purify"] = args.purify == "on"
+    if args.purify is not None:
+        cfg["purify"] = args.purify == "on"
     if args.pairs is not None:
         cfg["reflow_pairs"] = args.pairs
     tconf = _flag_checked(train_config_from, cfg)
+    if args.rounds < 1:
+        raise UsageError("--rounds must be >= 1")
     model = data.load_checkpoint(args.ckpt)
     rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
@@ -231,7 +224,6 @@ def cmd_reflow(args) -> int:
         return data.is_valid(g, rule)[0]
 
     chash = config_hash(cfg)
-    last_set = None
     for rnd in range(args.rounds):
         t0 = time.perf_counter()
         round_conf = replace(tconf, seed=tconf.seed + rnd)
@@ -264,10 +256,9 @@ def cmd_reflow(args) -> int:
                     wall_seconds=wall,
                 ).as_row(),
             )
-        last_set = cset
     data.save_checkpoint(args.out, model)
-    if args.pairs_out and last_set is not None:
-        data.save_pairs(args.pairs_out, last_set)
+    if args.pairs_out:
+        data.save_pairs(args.pairs_out, cset)
     return 0
 
 
@@ -574,7 +565,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reflow", help="estimate/purify couplings and fine-tune")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--purify", choices=("on", "off"), default="on")
+    p.add_argument("--purify", choices=("on", "off"), default=None,
+                   help="overrides the config's purify")
     p.add_argument("--out", required=True)
     p.add_argument("--pairs-out", default=None)
     p.add_argument("--pairs", type=int, default=None, help="couplings per round")

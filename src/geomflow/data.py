@@ -280,23 +280,33 @@ def save_checkpoint(path, model: VectorFieldModel):
         f.write(model.get_flat().astype("<f8").tobytes())
 
 
+def _read_header(f, path, what, version) -> dict:
+    """The JSON-object header line of a binary file, its version checked."""
+    line = f.readline()
+    if not line.endswith(b"\n"):
+        raise TruncatedFileError(f"{path}: missing {what} header")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MalformedFileError(f"{path}: bad {what} header: {e}") from e
+    if not isinstance(header, dict):
+        raise MalformedFileError(f"{path}: {what} header is not a JSON object")
+    if header.get("version") != version:
+        raise VersionMismatchError(
+            f"{path}: {what} version {header.get('version')}, expected {version}"
+        )
+    return header
+
+
 def load_checkpoint(path) -> VectorFieldModel:
     with open(path, "rb") as f:
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise TruncatedFileError(f"{path}: missing checkpoint header")
+        header = _read_header(f, path, "checkpoint", CKPT_VERSION)
+        arch = header.get("arch")
+        if not isinstance(arch, dict):
+            raise MalformedFileError(f"{path}: architecture record is not a JSON object")
         try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise MalformedFileError(f"{path}: bad checkpoint header: {e}") from e
-        version = header.get("version")
-        if version != CKPT_VERSION:
-            raise VersionMismatchError(
-                f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
-            )
-        try:
-            model = VectorFieldModel.from_arch(header["arch"])
-        except (KeyError, TypeError, ValueError) as e:
+            model = VectorFieldModel.from_arch(arch)
+        except (TypeError, ValueError) as e:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
         if header.get("param_count") != model.param_count:
             raise MalformedFileError(f"{path}: parameter count mismatch in header")
@@ -332,49 +342,50 @@ def save_pairs(path, cset: CouplingSet):
             )
 
 
-def _read_exact(f, nbytes, path, what):
-    blob = f.read(nbytes)
-    if len(blob) != nbytes:
+def _read_exact(f, nbytes, size, path, what):
+    """`nbytes` bytes of `f`, a file of `size` bytes; checked against the
+    size first, so a corrupt length cannot ask for a huge buffer."""
+    if f.tell() + nbytes > size:
         raise TruncatedFileError(f"{path}: truncated while reading {what}")
-    return blob
+    return f.read(nbytes)
+
+
+def _header_count(header, key, path) -> int:
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise MalformedFileError(f"{path}: pairs header {key!r} is not a count")
+    return value
 
 
 def load_pairs(path) -> CouplingSet:
     with open(path, "rb") as f:
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise TruncatedFileError(f"{path}: missing pairs header")
-        try:
-            header = json.loads(line.decode("utf-8"))
-            count, k, version = header["count"], header["k"], header["version"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as e:
-            raise MalformedFileError(f"{path}: bad pairs header: {e}") from e
-        if version != PAIRS_VERSION:
-            raise VersionMismatchError(
-                f"{path}: pairs version {version}, expected {PAIRS_VERSION}"
-            )
+        size = os.fstat(f.fileno()).st_size
+        header = _read_header(f, path, "pairs", PAIRS_VERSION)
+        count, k = _header_count(header, "count", path), _header_count(header, "k", path)
         pairs = []
         for i in range(count):
-            (n,) = struct.unpack("<I", _read_exact(f, 4, path, f"pair {i} size"))
+            (n,) = struct.unpack("<I", _read_exact(f, 4, size, path, f"pair {i} size"))
             if n < 1:
                 raise MalformedFileError(f"{path}: pair {i} has no points")
             arrays = []
             for name, width in (("z0 coords", 3), ("z0 features", k),
                                 ("z1 coords", 3), ("z1 features", k)):
-                blob = _read_exact(f, 8 * n * width, path, f"pair {i} {name}")
+                blob = _read_exact(f, 8 * n * width, size, path, f"pair {i} {name}")
                 arrays.append(np.frombuffer(blob, dtype="<f8").reshape(n, width))
-            src, valid, aligned = _read_exact(f, 3, path, f"pair {i} flags")
+            src, valid, aligned = _read_exact(f, 3, size, path, f"pair {i} flags")
             if src not in _SOURCE_NAMES:
                 raise MalformedFileError(f"{path}: pair {i} has unknown source byte")
-            pairs.append(
-                CouplingPair(
+            try:
+                pair = CouplingPair(
                     LatentGeometry(n, arrays[0], arrays[1]),
                     LatentGeometry(n, arrays[2], arrays[3]),
                     aligned=bool(aligned),
                     source=_SOURCE_NAMES[src],
                     valid=bool(valid),
                 )
-            )
+            except ValueError as e:
+                raise MalformedFileError(f"{path}: pair {i}: {e}") from e
+            pairs.append(pair)
         if f.read(1):
             raise MalformedFileError(f"{path}: trailing bytes after pair records")
     return CouplingSet(pairs)

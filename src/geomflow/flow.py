@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .alignment import solve_omt
-from .geometry import LatentGeometry
+from .geometry import LatentGeometry, sample_noise
 from .nn import AdamState, VectorFieldModel, adam_step, decode, encode
 from .ode import SolverConfig, integrate
 
@@ -87,7 +87,6 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-4
     sigma0: float = 0.01
-    reflow_rounds: int = 1
     purify: bool = True
     seed: int = 0
     # architecture
@@ -110,7 +109,6 @@ class TrainConfig:
     estimate_solver: SolverConfig = field(
         default_factory=lambda: SolverConfig(method="rk4", fixed_steps=40)
     )
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -123,8 +121,6 @@ class TrainConfig:
             raise ValueError("sigma0 must be non-negative")
         if not all(map(math.isfinite, (self.lr, self.sigma0, self.coord_scale))):
             raise ValueError("lr, sigma0 and coord_scale must be finite")
-        if self.reflow_rounds < 0:
-            raise ValueError("reflow_rounds must be >= 0")
         if self.reflow_pairs is not None and self.reflow_pairs < 1:
             raise ValueError("reflow_pairs must be >= 1")
 
@@ -161,19 +157,6 @@ def size_histogram(geoms) -> dict:
     for g in geoms:
         hist[int(g.n)] = hist.get(int(g.n), 0) + 1
     return hist
-
-
-def sample_noise(n: int, k: int, seed) -> LatentGeometry:
-    """Standard Gaussian latent noise with the coordinate part centered.
-
-    `seed` is a seed or a Generator; a Generator is drawn from in place.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((n, 3))
-    coords -= coords.mean(axis=0)
-    return LatentGeometry(n, coords, rng.standard_normal((n, k)))
 
 
 def interpolate(z0: LatentGeometry, z1: LatentGeometry, t: float) -> LatentGeometry:
@@ -302,12 +285,10 @@ def train_autoencoder(model, dataset, config, rng):
 
     def item_loss(g, rng):
         x = g.coords - g.coords.mean(axis=0)
-        noise_x = rng.standard_normal((g.n, 3))
-        noise_x -= noise_x.mean(axis=0)
-        noise_h = rng.standard_normal((g.n, model.k))
+        eps = sample_noise(g.n, model.k, rng)
         mu_x, mu_h = model.encode_means(x, g.features, cache=True)
-        zx = mu_x + config.sigma0 * noise_x
-        zh = mu_h + config.sigma0 * noise_h
+        zx = mu_x + config.sigma0 * eps.coords
+        zh = mu_h + config.sigma0 * eps.features
         x_rec, logits = model.decode_arrays(zx, zh, cache=True)
         labels = np.argmax(g.features, axis=1)
         p = _softmax(logits)
@@ -450,14 +431,12 @@ def random_couplings(model, dataset, count, seed) -> CouplingSet:
 
 
 def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
-    """Estimate couplings, purify, re-align, and fine-tune the same model.
+    """One round: estimate couplings, purify, re-align, and fine-tune.
 
-    `validity` maps a decoded Geometry to bool. Returns (model, coupling set
-    of the final round); with purify on, every returned pair decoded to a
-    geometry the predicate accepted.
+    `validity` maps a decoded Geometry to bool. Returns (model, coupling
+    set); with purify on, every returned pair decoded to a geometry the
+    predicate accepted.
     """
-    if config.reflow_rounds < 1:
-        raise ValueError("reflow needs reflow_rounds >= 1")
     if "size_hist" not in model.meta:
         raise ValueError("model has no size histogram; train it first")
     sampler = SizeSampler.from_histogram(model.meta["size_hist"])
@@ -465,30 +444,23 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     if count is None:
         count = 10 * int(model.meta.get("train_size", 100))
 
-    last = None
-    for rnd in range(config.reflow_rounds):
-        est = estimate_couplings(
-            model, count, config.estimate_solver,
-            np.random.SeedSequence([config.seed, 101, rnd]), sampler, threads,
-        )
-        flagged = [
-            replace(p, valid=bool(validity(decode(model, p.z1)))) for p in est
-        ]
-        kept = [p for p in flagged if p.valid] if config.purify else flagged
-        if not kept:
-            raise ValueError("purification rejected all samples")
-        aligned = [
-            align_pair(p, config.lam, config.omt_iters, config.omt_restarts)[0]
-            for p in kept
-        ]
-        coupling = CouplingSet(aligned)
-        if config.fresh_reflow:
-            model = VectorFieldModel.from_arch({**model.arch_dict(), "seed": config.seed})
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, rnd]))
-        epochs = config.reflow_epochs if config.reflow_epochs is not None else config.epochs
-        _fit(model, "flow", coupling,
-             lambda p, rng: _velocity_regression(model, p.z0, p.z1, float(rng.uniform())),
-             epochs, config, rng)
-        last = coupling
-    return model, last
-
+    # Streams are keyed (seed, purpose, 0); `reflow --rounds` varies the seed.
+    est = estimate_couplings(
+        model, count, config.estimate_solver,
+        np.random.SeedSequence([config.seed, 101, 0]), sampler, threads,
+    )
+    flagged = [replace(p, valid=bool(validity(decode(model, p.z1)))) for p in est]
+    kept = [p for p in flagged if p.valid] if config.purify else flagged
+    if not kept:
+        raise ValueError("purification rejected all samples")
+    coupling = CouplingSet([
+        align_pair(p, config.lam, config.omt_iters, config.omt_restarts)[0] for p in kept
+    ])
+    if config.fresh_reflow:
+        model = VectorFieldModel.from_arch({**model.arch_dict(), "seed": config.seed})
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, 0]))
+    epochs = config.reflow_epochs if config.reflow_epochs is not None else config.epochs
+    _fit(model, "flow", coupling,
+         lambda p, rng: _velocity_regression(model, p.z0, p.z1, float(rng.uniform())),
+         epochs, config, rng)
+    return model, coupling

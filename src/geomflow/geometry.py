@@ -189,3 +189,16 @@ def rotation_from_rng(rng: np.random.Generator) -> Rotation:
         q = q.copy()
         q[:, 0] *= -1.0
     return Rotation(q)
+
+
+def sample_noise(n: int, k: int, seed) -> LatentGeometry:
+    """Standard Gaussian latent noise with the coordinate part centered.
+
+    `seed` is a seed or a Generator; a Generator is drawn from in place.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((n, 3))
+    coords -= coords.mean(axis=0)
+    return LatentGeometry(n, coords, rng.standard_normal((n, k)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Geometry, LatentGeometry
+from .geometry import Geometry, LatentGeometry, sample_noise
 
 GRAD_CHECK_PARAM_LIMIT = 5000
 
@@ -451,11 +451,8 @@ def encode(model: VectorFieldModel, g: Geometry, sigma0=0.0, seed=0):
     x = g.coords - g.coords.mean(axis=0)
     mu_x, mu_h = model.encode_means(x, g.features, cache=False)
     if sigma0 > 0:
-        rng = np.random.default_rng(seed)
-        eps_x = rng.standard_normal((g.n, 3))
-        eps_x -= eps_x.mean(axis=0)
-        eps_h = rng.standard_normal((g.n, model.k))
-        return LatentGeometry(g.n, mu_x + sigma0 * eps_x, mu_h + sigma0 * eps_h)
+        eps = sample_noise(g.n, model.k, seed)
+        return LatentGeometry(g.n, mu_x + sigma0 * eps.coords, mu_h + sigma0 * eps.features)
     return LatentGeometry(g.n, mu_x, mu_h)
 
 
@@ -515,9 +512,7 @@ def grad_check(model_factory, tolerance=1e-4, seed=0, step=1e-5) -> GradCheckRep
         raise ValueError("grad_check is limited to models with <= 5k parameters")
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
-    zx = rng.standard_normal((n, 3))
-    zx -= zx.mean(axis=0)
-    z = LatentGeometry(n, zx, rng.standard_normal((n, model.k)))
+    z = sample_noise(n, model.k, rng)
     t = float(rng.uniform())
     ux = rng.standard_normal((n, 3))
     uh = rng.standard_normal((n, model.k))

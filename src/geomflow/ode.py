@@ -9,7 +9,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +52,6 @@ class SolverConfig:
         tolerances = (self.rtol, self.atol, self.init_step)
         if not all(math.isfinite(v) and v > 0 for v in tolerances):
             raise ValueError("solver tolerances must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(**d)
 
 
 def integrate(f, y0, config: SolverConfig):

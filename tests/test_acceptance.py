@@ -371,13 +371,27 @@ def test_c11_ode_solver_correctness(trained):
     reference = SolverConfig("rk4", fixed_steps=1000)
     worst_ratio = 0.0
     t0 = time.perf_counter()
+    draws = []
     for seed in range(50):
         srng = np.random.default_rng(seed)
-        n = sampler.sample(srng)
-        z0 = sample_noise(n, trained.k, srng)
+        draws.append(sample_noise(sampler.sample(srng), trained.k, srng))
+    # The references of one size are solved as one stacked state: a fixed-step
+    # solver brings each draw to its solo endpoint bit for bit.
+    refs = {}
+    for n in sorted({z.n for z in draws}):
+        idx = [i for i, z in enumerate(draws) if z.n == n]
+        stacked = LatentGeometry(
+            n * len(idx),
+            np.concatenate([draws[i].coords for i in idx]),
+            np.concatenate([draws[i].features for i in idx]),
+        )
+        zr, _ = sample_ode(trained, stacked, reference, n)
+        for s, i in enumerate(idx):
+            rows = slice(s * n, (s + 1) * n)
+            refs[i] = np.concatenate([zr.coords[rows].ravel(), zr.features[rows].ravel()])
+    for seed, z0 in enumerate(draws):
         za, _ = sample_ode(trained, z0, adaptive)
-        zr, _ = sample_ode(trained, z0, reference)
-        ref_vec = np.concatenate([zr.coords.ravel(), zr.features.ravel()])
+        ref_vec = refs[seed]
         adp_vec = np.concatenate([za.coords.ravel(), za.features.ravel()])
         err = float(np.linalg.norm(adp_vec - ref_vec))
         bound = 10.0 * max(adaptive.rtol * float(np.linalg.norm(ref_vec)), adaptive.atol)

@@ -145,6 +145,37 @@ class TestExitCodes:
         path.write_bytes(b'{"count": 0, "k": 2, "version": 42}\n')
         assert run("eval", "--pairs", path) == 2
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"[1]", b'{"count": "2", "k": 2, "version": 1}', b'{"count": 1, "k": -1, "version": 1}'],
+        ids=["array", "string-count", "negative-k"],
+    )
+    def test_malformed_pairs_header_is_data_error(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.pairs.bin"
+        path.write_bytes(header + b"\n")
+        assert run("eval", "--pairs", path) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header", [b"3", b"[1, 2]", b'{"arch": [1], "version": 1}'],
+        ids=["number", "array", "array-arch"],
+    )
+    def test_malformed_checkpoint_header_is_data_error(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.gflow.ckpt"
+        path.write_bytes(header + b"\n")
+        out = tmp_path / "gen.geoms.jsonl"
+        assert run("sample", "--ckpt", path, "--count", 2, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["solver", "fixed_steps", "reflow_rounds"])
+    def test_removed_config_key_is_usage_error(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: cli.DEFAULT_CONFIG["estimate_steps"]}))
+        code = run("train", "--data", tmp_path / "missing.jsonl", "--config", bad,
+                   "--out", tmp_path / "m.gflow.ckpt")
+        assert code == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_sample_bit_reproducible(self, tmp_path, spec_file, config_file):
@@ -198,7 +229,7 @@ class TestConfigChecks:
             '{"lambda": 2}',
             '{"use_omt": 1}',
             '{"reflow_pairs": 2.0}',
-            '{"solver": 3}',
+            '{"estimate_solver": 3}',
             '{"estimate_solver": "midpoint"}',
             '{"min_pair_dist": 5.0}',
             '{"onehot_margin": 0}',
@@ -231,7 +262,7 @@ class TestConfigChecks:
     @pytest.mark.parametrize(
         "text",
         ['{"lr": 2, "max_radius": 5, "reflow_pairs": 3, "reflow_epochs": null}',
-         '{"seed": 4, "solver": "euler", "purify": false}'],
+         '{"seed": 4, "estimate_solver": "euler", "purify": false}'],
     )
     def test_matching_kinds_accepted(self, tmp_path, text):
         good = tmp_path / "good.json"
@@ -248,9 +279,9 @@ class TestConfigChecks:
             "lambda": 0.3, "sigma0": 0.02, "k": 3, "hidden": 8, "flow_layers": 2,
             "decoder_layers": 2, "identity_latent": True, "coord_scale": 0.5,
             "epochs": 4, "batch_size": 5, "lr": 0.003, "seed": 9, "use_omt": False,
-            "omt_iters": 6, "omt_restarts": 7, "ae_epochs": 11, "reflow_rounds": 2,
+            "omt_iters": 6, "omt_restarts": 7, "ae_epochs": 11,
             "purify": False, "reflow_pairs": 12, "reflow_epochs": 13,
-            "fresh_reflow": True, "solver": "euler", "fixed_steps": 14, "rtol": 0.002,
+            "fresh_reflow": True, "rtol": 0.002,
             "atol": 0.0003, "max_steps": 15, "init_step": 0.1,
             "estimate_solver": "adaptive", "estimate_steps": 16,
             "min_pair_dist": 0.1, "max_radius": 5.0, "onehot_margin": 0.25,
@@ -261,18 +292,14 @@ class TestConfigChecks:
         path.write_text(json.dumps(cfg))
         loaded = cli.load_config(path)
         assert loaded == cfg
-
-        def solver(method, steps):
-            return ode.SolverConfig(method=method, fixed_steps=steps, rtol=0.002,
-                                    atol=0.0003, max_steps=15, init_step=0.1)
-
         assert cli.train_config_from(loaded) == flow.TrainConfig(
-            lam=0.3, epochs=4, batch_size=5, lr=0.003, sigma0=0.02, reflow_rounds=2,
+            lam=0.3, epochs=4, batch_size=5, lr=0.003, sigma0=0.02,
             purify=False, seed=9, k=3, hidden=8, flow_layers=2, decoder_layers=2,
             identity_latent=True, coord_scale=0.5, use_omt=False, omt_iters=6,
             omt_restarts=7, ae_epochs=11, reflow_pairs=12, reflow_epochs=13,
-            fresh_reflow=True, estimate_solver=solver("adaptive", 16),
-            solver=solver("euler", 14),
+            fresh_reflow=True,
+            estimate_solver=ode.SolverConfig(method="adaptive", fixed_steps=16, rtol=0.002,
+                                             atol=0.0003, max_steps=15, init_step=0.1),
         )
         assert cli.rule_from(loaded) == data.ValidityRule(
             min_pair_dist=0.1, max_radius=5.0, onehot_margin=0.25
@@ -335,6 +362,41 @@ class TestFlagChecks:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_bad_reflow_rounds_is_usage_error(self, tmp_path, capsys, rounds):
+        out = tmp_path / "m2.gflow.ckpt"
+        code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--rounds", rounds,
+                   "--out", out)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "in_config, flag, expected",
+        [(False, None, False), (True, None, True), (False, "on", True), (True, "off", False)],
+    )
+    def test_purify_flag_overrides_config_only_when_given(
+        self, tmp_path, monkeypatch, in_config, flag, expected
+    ):
+        model = nn.VectorFieldModel(d=3, k=3, hidden=4, flow_layers=1,
+                                    identity_latent=True, seed=0)
+        model.meta = {"size_hist": {"3": 1}}
+        ckpt = tmp_path / "m.gflow.ckpt"
+        data.save_checkpoint(ckpt, model)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"purify": in_config}))
+        seen = []
+
+        def fake_reflow(model, conf, validity, threads=1):
+            seen.append(conf.purify)
+            raise RuntimeError("stop after the first round starts")
+
+        monkeypatch.setattr(flow, "reflow", fake_reflow)
+        argv = ["reflow", "--ckpt", ckpt, "--config", config, "--out", tmp_path / "o"]
+        with pytest.raises(RuntimeError, match="stop"):
+            run(*argv, *(["--purify", flag] if flag else []))
+        assert seen == [expected]
 
     def test_zero_reflow_pairs_in_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.costs import optimal_molecule_cost
 from geomflow.data import (
     MalformedFileError,
+    PersistenceError,
     TemplateSpec,
     TruncatedFileError,
     ValidityRule,
@@ -268,6 +270,103 @@ class TestPairsPersistence:
         path = tmp_path / "e.pairs.bin"
         save_pairs(path, CouplingSet([]))
         assert len(load_pairs(path)) == 0
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize(
+        "header",
+        [b"3", b"[1, 2]", b'{"arch": [1], "version": 1}', b'{"arch": 3, "version": 1}'],
+        ids=["number", "array", "array-arch", "number-arch"],
+    )
+    def test_checkpoint(self, tmp_path, header):
+        path = tmp_path / "m.gflow.ckpt"
+        path.write_bytes(header + b"\n" + b"\x00" * 64)
+        with pytest.raises(MalformedFileError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        ['[1]', '"count": "2", "k": 2', '"count": 1.5, "k": 2', '"count": true, "k": 2',
+         '"count": -1, "k": 2', '"count": 1, "k": "a"', '"count": 1, "k": -1',
+         '"k": 2'],
+        ids=["array", "string-count", "float-count", "bool-count", "negative-count",
+             "string-k", "negative-k", "missing-count"],
+    )
+    def test_pairs(self, tmp_path, fields):
+        header = fields if fields.startswith("[") else "{" + fields + ', "version": 1}'
+        path = tmp_path / "c.pairs.bin"
+        path.write_bytes(header.encode() + b"\n" + b"\x00" * 64)
+        with pytest.raises(MalformedFileError):
+            load_pairs(path)
+
+    def test_non_finite_pair_entry(self, tmp_path):
+        path = tmp_path / "c.pairs.bin"
+        save_pairs(path, CouplingSet([CouplingPair(sample_noise(4, 2, 0),
+                                                   sample_noise(4, 2, 1))]))
+        blob = bytearray(path.read_bytes())
+        start = blob.index(b"\n") + 1 + 4  # the first z0 coordinate
+        blob[start : start + 8] = np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MalformedFileError, match="finite"):
+            load_pairs(path)
+
+    def test_huge_point_count_is_truncation(self, tmp_path):
+        path = tmp_path / "c.pairs.bin"
+        save_pairs(path, CouplingSet([CouplingPair(sample_noise(4, 2, 0),
+                                                   sample_noise(4, 2, 1))]))
+        blob = bytearray(path.read_bytes())
+        start = blob.index(b"\n") + 1
+        blob[start : start + 4] = (0xFFFFFFF0).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFileError):
+            load_pairs(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The bytes and loader of a small valid checkpoint and pairs file, and a
+    scratch path to write edited copies to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    model = VectorFieldModel(d=3, k=2, hidden=4, flow_layers=1, seed=5)
+    model.meta = {"size_hist": {"4": 7}, "train_size": 7, "sigma0": 0.01}
+    save_checkpoint(root / "m.gflow.ckpt", model)
+    save_pairs(root / "c.pairs.bin", CouplingSet([
+        CouplingPair(sample_noise(n, 2, n), sample_noise(n, 2, n + 1),
+                     aligned=n == 3, source="estimated", valid=n != 4)
+        for n in (2, 3, 4)
+    ]))
+    return root / "edited", {
+        "ckpt": ((root / "m.gflow.ckpt").read_bytes(), load_checkpoint),
+        "pairs": ((root / "c.pairs.bin").read_bytes(), load_pairs),
+    }
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("kind", ["ckpt", "pairs"])
+    def test_every_proper_prefix_is_truncated_or_malformed(self, valid_files, kind):
+        scratch, files = valid_files
+        blob, load = files[kind]
+        for end in range(len(blob)):
+            scratch.write_bytes(blob[:end])
+            with pytest.raises((TruncatedFileError, MalformedFileError)):
+                load(scratch)
+
+    @pytest.mark.parametrize("kind", ["ckpt", "pairs"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_edit_loads_or_raises_persistence_error(self, valid_files, kind, data):
+        scratch, files = valid_files
+        blob, load = files[kind]
+        header = blob.index(b"\n") + 1
+        # Half the edits land in the JSON header, where the parsing is.
+        pos = data.draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(blob) - 1)))
+        edited = bytearray(blob)
+        edited[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[pos]))
+        scratch.write_bytes(bytes(edited))
+        try:
+            load(scratch)
+        except PersistenceError:
+            pass
 
 
 class TestAtomicWrites:

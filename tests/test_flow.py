@@ -395,12 +395,6 @@ class TestReflow:
         with pytest.raises(ValueError, match="size histogram"):
             reflow(model, tiny_config(), lambda g: True)
 
-    def test_rounds_must_be_positive(self):
-        ds = tiny_dataset(24)
-        model, _ = train(ds, tiny_config(epochs=1))
-        with pytest.raises(ValueError, match="reflow_rounds"):
-            reflow(model, tiny_config(reflow_rounds=0), lambda g: True)
-
 
 class TestCouplingHelpers:
     def test_random_couplings_sizes_match(self):

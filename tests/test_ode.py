@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -85,4 +87,4 @@ class TestSolverConfig:
 
     def test_roundtrips_through_dict(self):
         cfg = SolverConfig("rk4", fixed_steps=33, rtol=1e-3, atol=1e-4)
-        assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+        assert SolverConfig(**asdict(cfg)) == cfg
