@@ -137,17 +137,11 @@ def _kabsch_rotation(h: np.ndarray) -> Rotation:
     return Rotation(vt.T @ np.diag(corr) @ u.T)
 
 
-def _objective(x1a: np.ndarray, h1a: np.ndarray, z0: LatentGeometry, lam: float):
-    """Squared parts of the alignment objective for already-aligned arrays."""
-    sse_x = float(((x1a - z0.coords) ** 2).sum())
-    sse_h = float(((h1a - z0.features) ** 2).sum())
-    return sse_x, sse_h
-
-
 def _solution(z1, z0, lam, perm, rot, iterations) -> OmtSolution:
     x1a = z1.coords[perm.map] @ rot.r.T
     h1a = z1.features[perm.map]
-    sse_x, sse_h = _objective(x1a, h1a, z0, lam)
+    sse_x = float(((x1a - z0.coords) ** 2).sum())
+    sse_h = float(((h1a - z0.features) ** 2).sum())
     return OmtSolution(
         rotation=rot,
         permutation=perm,

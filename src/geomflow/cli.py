@@ -216,6 +216,8 @@ def cmd_reflow(args) -> int:
     tconf = _flag_checked(train_config_from, cfg)
     if args.rounds < 1:
         raise UsageError("--rounds must be >= 1")
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     model = data.load_checkpoint(args.ckpt)
     rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
@@ -274,6 +276,8 @@ def cmd_sample(args) -> int:
     )
     if args.count < 0:
         raise UsageError("--count must be >= 0")
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     model = data.load_checkpoint(args.ckpt)
     if "size_hist" not in model.meta:
         raise ValueError("checkpoint has no size histogram; was it trained?")
@@ -444,9 +448,10 @@ def suite_nn():
     net = nn.DenseNet([4, 3], np.random.default_rng(0))
     net.weights[0][...] = w
     net.biases[0][...] = 0.0
-    pred = net.forward(x)
+    tape = []
+    pred = net.forward(x, tape)
     net.zero_grads()
-    net.backward(2.0 * (pred - y))
+    net.backward(2.0 * (pred - y), tape)
     closed = 2.0 * (x @ w.T - y).T @ x
     dev = float(np.abs(net.grad_w[0] - closed).max())
     _check(checks, "dense-closed-form-gradient", dev <= 1e-9, f"max dev {dev:.1e}")

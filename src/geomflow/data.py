@@ -318,7 +318,10 @@ def load_checkpoint(path) -> VectorFieldModel:
         )
     if len(blob) > expected:
         raise MalformedFileError(f"{path}: trailing bytes after parameters")
-    model.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise MalformedFileError(f"{path}: non-finite parameter values")
+    model.set_flat(params)
     return model
 
 

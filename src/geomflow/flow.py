@@ -181,14 +181,15 @@ def align_pair(pair: CouplingPair, lam=0.5, max_iters=1, restarts=1):
 def _velocity_regression(model: VectorFieldModel, z0, z1t, t, backward=True):
     """Mean-squared velocity regression against the straight-path target."""
     zt = interpolate(z0, z1t, t)
-    v = model.velocity(zt, t, cache=backward)
+    tape = [] if backward else None
+    v = model.velocity(zt, t, tape)
     ux = z1t.coords - z0.coords
     uh = z1t.features - z0.features
     numel = z0.n * (3 + z0.k)
     loss = (np.sum((v.coords - ux) ** 2) + np.sum((v.features - uh) ** 2)) / numel
     if backward:
         model.backward_velocity(
-            2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel
+            2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel, tape
         )
     return float(loss)
 
@@ -286,17 +287,18 @@ def train_autoencoder(model, dataset, config, rng):
     def item_loss(g, rng):
         x = g.coords - g.coords.mean(axis=0)
         eps = sample_noise(g.n, model.k, rng)
-        mu_x, mu_h = model.encode_means(x, g.features, cache=True)
+        tape = []
+        mu_x, mu_h = model.encode_means(x, g.features, tape)
         zx = mu_x + config.sigma0 * eps.coords
         zh = mu_h + config.sigma0 * eps.features
-        x_rec, logits = model.decode_arrays(zx, zh, cache=True)
+        x_rec, logits = model.decode_arrays(zx, zh, tape)
         labels = np.argmax(g.features, axis=1)
         p = _softmax(logits)
         coord_loss = float(((x_rec - x) ** 2).mean())
         ce = float(-np.log(np.maximum(p[np.arange(g.n), labels], 1e-300)).mean())
         y = np.zeros_like(p)
         y[np.arange(g.n), labels] = 1.0
-        model.ae_backward(2.0 * (x_rec - x) / x.size, (p - y) / g.n)
+        model.ae_backward(2.0 * (x_rec - x) / x.size, (p - y) / g.n, tape)
         return coord_loss + ce
 
     return _fit(model, "ae", dataset, item_loss, config.ae_epochs, config, rng)
@@ -323,7 +325,7 @@ def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig
     rows, k = z0.n, z0.k
 
     def f(t, y):
-        return _pack(model.velocity(_unpack(y, rows, k), t, cache=False, n=n))
+        return _pack(model.velocity(_unpack(y, rows, k), t, n=n))
 
     y1, steps = integrate(f, _pack(z0), solver)
     return _unpack(y1, rows, k), steps

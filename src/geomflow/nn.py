@@ -14,6 +14,12 @@ Two floating-point disciplines matter here:
   mathematically exact.
 * Sums over neighbours are taken in sorted order, which makes the reduction
   independent of how the points were enumerated.
+
+Backward passes read a tape that the caller owns. A forward pass given a
+list as `tape` appends the records its backward needs; the matching backward
+pops them. Records are pushed in forward order and popped in reverse, so one
+list serves a whole net, and passes recorded on separate tapes can be pulled
+back in any order. No pass stores state on the model or its blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .geometry import Geometry, LatentGeometry, sample_noise
 
 GRAD_CHECK_PARAM_LIMIT = 5000
+_GROUPS = {"all": ("enc", "dec", "flow"), "ae": ("enc", "dec"), "flow": ("flow",)}
 
 
 def sigmoid(z):
@@ -41,6 +48,13 @@ def silu(z):
 def silu_grad(z):
     s = sigmoid(z)
     return s * (1.0 + z * (1.0 - s))
+
+
+def _pop(tape):
+    """The newest record on `tape`: every backward's one misuse check."""
+    if not tape:
+        raise RuntimeError("backward called without a recorded forward pass")
+    return tape.pop()
 
 
 def _rowwise_matmul(a, w):
@@ -63,7 +77,7 @@ def _edges(n: int, b: int):
     lists = (i_idx + set_rows, j_idx + set_rows, jmaj + set_edges)
     out = tuple(np.ascontiguousarray(a.ravel(), dtype=np.intp) for a in lists)
     for a in out:
-        a.setflags(write=False)  # shared by every caller through the cache
+        a.setflags(write=False)  # every caller shares these arrays
     return out
 
 
@@ -101,13 +115,11 @@ class DenseNet:
         self.biases = [np.zeros(o) for o in widths[1:]]
         self.grad_w = [np.zeros_like(w) for w in self.weights]
         self.grad_b = [np.zeros_like(b) for b in self.biases]
-        self._cache = None
 
-    def forward(self, x, cache=True):
-        x = np.asarray(x, dtype=np.float64)
+    def forward(self, x, tape=None):
         last = len(self.weights) - 1
         xs, zs, ss = [], [], []
-        a = x
+        a = np.asarray(x, dtype=np.float64)
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             xs.append(a)
             z = _rowwise_matmul(a, w) + b
@@ -118,13 +130,12 @@ class DenseNet:
                 a = z * s
             else:
                 a = z
-        self._cache = (xs, zs, ss) if cache else None
+        if tape is not None:
+            tape.append((xs, zs, ss))
         return a
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("backward called without a cached forward pass")
-        xs, zs, ss = self._cache
+    def backward(self, dy, tape):
+        xs, zs, ss = _pop(tape)
         dy = np.asarray(dy, dtype=np.float64)
         dx = None
         for l in range(len(self.weights) - 1, -1, -1):
@@ -135,25 +146,16 @@ class DenseNet:
                 # silu_grad(z), from the sigmoid the forward pass kept
                 z, s = zs[l - 1], ss[l - 1]
                 dy = dx * (s * (1.0 + z * (1.0 - s)))
-        self._cache = None
         return dx
 
     def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def grads(self):
-        out = []
-        for gw, gb in zip(self.grad_w, self.grad_b):
-            out.extend((gw, gb))
-        return out
+        return [g for pair in zip(self.grad_w, self.grad_b) for g in pair]
 
     def zero_grads(self):
-        for g in self.grad_w:
-            g[...] = 0.0
-        for g in self.grad_b:
+        for g in self.grads():
             g[...] = 0.0
 
     def sub_nets(self):
@@ -179,37 +181,36 @@ class EquivariantLayer:
         # superlinear fields the adaptive solver cannot finish.
         self.coord_net.weights[-1] *= 0.1
         self.node_net = DenseNet([2 * width, width, width], rng)
-        self._cache = None
 
-    def forward(self, x, h, cache=True, n=None):
+    def forward(self, x, h, tape=None, n=None):
         """Update b stacked sets of n points; x and h hold b*n rows, set by
         set. Each set's output bits are those of its own unstacked pass."""
         n = x.shape[0] if n is None else n
         b = x.shape[0] // n
         if n == 1:
             n_in = np.concatenate([h, np.zeros((b, self.width))], axis=1)
-            h_out = self.node_net.forward(n_in, cache)
-            self._cache = (None, None, n, b) if cache else None
-            return x.copy(), h_out
-        i_idx, j_idx, _ = _edges(n, b)
-        diff = x[i_idx] - x[j_idx]
-        d2 = np.einsum("ei,ei->e", diff, diff, optimize=False)[:, None]
-        e_in = np.concatenate([h[i_idx], h[j_idx], d2], axis=1)
-        m = self.edge_net.forward(e_in, cache)
-        w = self.coord_net.forward(m, cache)
-        delta = _reduce_i(diff * w, n) * (self.coord_scale / (n - 1))
-        delta = _center_sets(delta, n)
-        agg = _reduce_i(m, n)
-        h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), cache)
-        self._cache = (diff, w, n, b) if cache else None
-        return x + delta, h_out
+            h_out = self.node_net.forward(n_in, tape)
+            diff = w = None
+            x_out = x.copy()
+        else:
+            i_idx, j_idx, _ = _edges(n, b)
+            diff = x[i_idx] - x[j_idx]
+            d2 = np.einsum("ei,ei->e", diff, diff, optimize=False)[:, None]
+            e_in = np.concatenate([h[i_idx], h[j_idx], d2], axis=1)
+            m = self.edge_net.forward(e_in, tape)
+            w = self.coord_net.forward(m, tape)
+            delta = _reduce_i(diff * w, n) * (self.coord_scale / (n - 1))
+            x_out = x + _center_sets(delta, n)
+            agg = _reduce_i(m, n)
+            h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), tape)
+        if tape is not None:
+            tape.append((diff, w, n, b))
+        return x_out, h_out
 
-    def backward(self, dx_out, dh_out):
-        if self._cache is None:
-            raise RuntimeError("backward called without a cached forward pass")
-        diff, w, n, b = self._cache
+    def backward(self, dx_out, dh_out, tape):
+        diff, w, n, b = _pop(tape)
         width = self.width
-        dn_in = self.node_net.backward(dh_out)
+        dn_in = self.node_net.backward(dh_out, tape)
         dh = dn_in[:, :width].copy()
         dagg = dn_in[:, width:]
         dx = np.array(dx_out, dtype=np.float64, copy=True)
@@ -221,15 +222,14 @@ class EquivariantLayer:
             dwdiff = ddelta[i_idx]
             dw = np.einsum("ei,ei->e", dwdiff, diff, optimize=False)[:, None]
             ddiff = dwdiff * w
-            dm = self.coord_net.backward(dw) + dagg[i_idx]
-            de_in = self.edge_net.backward(dm)
+            dm = self.coord_net.backward(dw, tape) + dagg[i_idx]
+            de_in = self.edge_net.backward(dm, tape)
             dd2 = de_in[:, 2 * width :]
             ddiff = ddiff + 2.0 * diff * dd2
             dh += _reduce_i(de_in[:, :width], n) + _reduce_j(
                 de_in[:, width : 2 * width], n, jmaj
             )
             dx += _reduce_i(ddiff, n) - _reduce_j(ddiff, n, jmaj)
-        self._cache = None
         return dx, dh
 
     def sub_nets(self):
@@ -288,21 +288,21 @@ class VectorFieldModel:
             EquivariantLayer(hidden, rng, coord_scale) for _ in range(flow_layers)
         ]
         self.flow_out = DenseNet([hidden, k], rng)
-        self._flow_cached = False
 
     # -- parameter plumbing -------------------------------------------------
 
+    def _blocks(self, net):
+        """The "enc", "dec" or "flow" net in forward order: an embed net, its
+        equivariant layers and an out net."""
+        stack = [self.enc_layer] if net == "enc" else getattr(self, f"{net}_stack")
+        return [getattr(self, f"{net}_embed"), *stack, getattr(self, f"{net}_out")]
+
     def _nets(self, group="all"):
         """Dense nets of `group` ("ae", "flow" or "all"), in checkpoint order."""
-        if group not in ("all", "ae", "flow"):
+        if group not in _GROUPS:
             raise ValueError(f"unknown parameter group {group!r}")
-        blocks = []
-        if group != "flow" and not self.identity_latent:
-            blocks += [self.enc_embed, self.enc_layer, self.enc_out,
-                       self.dec_embed, *self.dec_stack, self.dec_out]
-        if group != "ae":
-            blocks += [self.flow_embed, *self.flow_stack, self.flow_out]
-        return [net for block in blocks for net in block.sub_nets()]
+        nets = [net for net in _GROUPS[group] if net == "flow" or not self.identity_latent]
+        return [sub for net in nets for block in self._blocks(net) for sub in block.sub_nets()]
 
     def parameters(self, group="all"):
         return [p for net in self._nets(group) for p in net.params()]
@@ -353,9 +353,28 @@ class VectorFieldModel:
         model.meta = dict(arch.get("meta", {}))
         return model
 
+    # -- the one walk in each direction ---------------------------------------
+
+    def _forward(self, net, x, h, tape, n=None):
+        """Coordinate and feature outputs of `net` on inputs (x, h)."""
+        embed, *stack, out = self._blocks(net)
+        h = embed.forward(h, tape)
+        x = np.asarray(x, dtype=np.float64)
+        for layer in stack:
+            x, h = layer.forward(x, h, tape, n)
+        return x, out.forward(h, tape)
+
+    def _backward(self, net, dx, dh, tape):
+        """Pull output adjoints (dx, dh) of `net` back to its inputs."""
+        embed, *stack, out = self._blocks(net)
+        dh = out.backward(dh, tape)
+        for layer in reversed(stack):
+            dx, dh = layer.backward(dx, dh, tape)
+        return dx, embed.backward(dh, tape)
+
     # -- velocity field ------------------------------------------------------
 
-    def velocity(self, z: LatentGeometry, t: float, cache=False, n=None) -> LatentGeometry:
+    def velocity(self, z: LatentGeometry, t: float, tape=None, n=None) -> LatentGeometry:
         """v(z, t); with `n`, z stacks z.n // n sets of n points, each
         evaluated as if alone."""
         if not 0.0 <= t <= 1.0:
@@ -365,79 +384,55 @@ class VectorFieldModel:
         if n is not None and (n < 1 or z.n % n):
             raise ValueError("stacked rows are not a whole number of sets")
         h_in = np.concatenate([z.features, np.full((z.n, 1), float(t))], axis=1)
-        h = self.flow_embed.forward(h_in, cache)
-        x = np.asarray(z.coords)
-        for layer in self.flow_stack:
-            x, h = layer.forward(x, h, cache, n)
-        vh = self.flow_out.forward(h, cache)
-        self._flow_cached = cache
+        x, vh = self._forward("flow", z.coords, h_in, tape, n)
         return LatentGeometry(z.n, x - z.coords, vh)
 
-    def backward_velocity(self, dvx, dvh):
+    def backward_velocity(self, dvx, dvh, tape):
         """Pull the velocity adjoint back to (dz_x, dz_h); accumulates grads."""
-        if not self._flow_cached:
-            raise RuntimeError("backward requires a cached forward pass")
-        dvx = np.asarray(dvx, dtype=np.float64)
-        dh = self.flow_out.backward(dvh)
-        dx = dvx
-        for layer in reversed(self.flow_stack):
-            dx, dh = layer.backward(dx, dh)
-        dh_in = self.flow_embed.backward(dh)
-        self._flow_cached = False
+        dx, dh_in = self._backward("flow", dvx, dvh, tape)
         return dx - dvx, dh_in[:, : self.k]
 
     # -- autoencoder ---------------------------------------------------------
 
-    def encode_means(self, x_centered, features, cache=False):
+    def encode_means(self, x_centered, features, tape=None):
         if self.identity_latent:
             return np.array(x_centered, dtype=np.float64), np.array(
                 features, dtype=np.float64
             )
-        h = self.enc_embed.forward(features, cache)
-        x1, h1 = self.enc_layer.forward(np.asarray(x_centered, np.float64), h, cache)
-        return x1, self.enc_out.forward(h1, cache)
+        return self._forward("enc", x_centered, features, tape)
 
-    def decode_arrays(self, zx, zh, cache=False):
+    def decode_arrays(self, zx, zh, tape=None):
         if self.identity_latent:
             return np.array(zx, dtype=np.float64), np.array(zh, dtype=np.float64)
-        h = self.dec_embed.forward(zh, cache)
-        x = np.asarray(zx, dtype=np.float64)
-        for layer in self.dec_stack:
-            x, h = layer.forward(x, h, cache)
-        return x, self.dec_out.forward(h, cache)
+        return self._forward("dec", zx, zh, tape)
 
-    def ae_backward(self, dx_rec, dlogits):
-        """Backward through decoder then encoder; returns nothing useful."""
+    def ae_backward(self, dx_rec, dlogits, tape):
+        """Backward through decoder then encoder; accumulates grads and
+        returns the adjoint of the encoder's input coordinates."""
         if self.identity_latent:
             raise RuntimeError("identity-latent model has no autoencoder")
-        dh = self.dec_out.backward(dlogits)
-        dx = np.array(dx_rec, dtype=np.float64, copy=True)
-        for layer in reversed(self.dec_stack):
-            dx, dh = layer.backward(dx, dh)
-        dzh = self.dec_embed.backward(dh)
-        dh1 = self.enc_out.backward(dzh)
-        dx1, dhe = self.enc_layer.backward(dx, dh1)
-        self.enc_embed.backward(dhe)
-        return dx1
+        dzx, dzh = self._backward("dec", dx_rec, dlogits, tape)
+        return self._backward("enc", dzx, dzh, tape)[0]
 
 
-def forward(model: VectorFieldModel, z: LatentGeometry, t: float, cache=False):
+def forward(model: VectorFieldModel, z: LatentGeometry, t: float, tape=None):
     """Evaluate the velocity field v(z, t)."""
-    return model.velocity(z, t, cache=cache)
+    return model.velocity(z, t, tape)
 
 
-def backward(model: VectorFieldModel, adjoint):
+def backward(model: VectorFieldModel, adjoint, tape):
     """Accumulate parameter gradients for a velocity adjoint.
 
     `adjoint` is LatentGeometry-shaped (anything with `.coords` and
-    `.features`, or a (dvx, dvh) pair). Returns the gradient record, a list
-    of arrays parallel to `model.parameters()`.
+    `.features`, or a (dvx, dvh) pair); `tape` holds the forward's records.
+    Returns the gradient record, a list of arrays parallel to
+    `model.parameters()`.
     """
     if hasattr(adjoint, "coords"):
         dvx, dvh = adjoint.coords, adjoint.features
     else:
         dvx, dvh = adjoint
-    model.backward_velocity(dvx, dvh)
+    model.backward_velocity(dvx, dvh, tape)
     return model.gradients()
 
 
@@ -449,7 +444,7 @@ def encode(model: VectorFieldModel, g: Geometry, sigma0=0.0, seed=0):
     if sigma0 < 0:
         raise ValueError("sigma0 must be non-negative")
     x = g.coords - g.coords.mean(axis=0)
-    mu_x, mu_h = model.encode_means(x, g.features, cache=False)
+    mu_x, mu_h = model.encode_means(x, g.features)
     if sigma0 > 0:
         eps = sample_noise(g.n, model.k, seed)
         return LatentGeometry(g.n, mu_x + sigma0 * eps.coords, mu_h + sigma0 * eps.features)
@@ -461,7 +456,7 @@ def decode(model: VectorFieldModel, z: LatentGeometry) -> Geometry:
     if z.k != model.k:
         raise ValueError("latent feature width mismatch")
     zx = z.coords - z.coords.mean(axis=0)
-    x, feats = model.decode_arrays(zx, z.features, cache=False)
+    x, feats = model.decode_arrays(zx, z.features)
     return Geometry(z.n, x - x.mean(axis=0), feats)
 
 
@@ -519,12 +514,14 @@ def grad_check(model_factory, tolerance=1e-4, seed=0, step=1e-5) -> GradCheckRep
     numel = n * (3 + model.k)
 
     def loss_value():
-        v = model.velocity(z, t, cache=False)
+        v = model.velocity(z, t)
         return (np.sum((v.coords - ux) ** 2) + np.sum((v.features - uh) ** 2)) / numel
 
-    v = model.velocity(z, t, cache=True)
+    tape = []
+    v = model.velocity(z, t, tape)
     model.zero_grads()
-    model.backward_velocity(2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel)
+    model.backward_velocity(2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel,
+                            tape)
     analytic = np.concatenate([g.ravel() for g in model.gradients()])
 
     flat = model.get_flat()

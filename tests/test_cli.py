@@ -341,9 +341,12 @@ class TestFlagChecks:
             ["--max-steps", "0"],
             ["--init-step", "0"],
             ["--init-step", "-0.1"],
+            ["--threads", "0"],
+            ["--threads", "-3"],
         ],
         ids=["nan-rtol", "negative-atol", "negative-count", "zero-steps",
-             "zero-max-steps", "zero-init-step", "negative-init-step"],
+             "zero-max-steps", "zero-init-step", "negative-init-step", "zero-threads",
+             "negative-threads"],
     )
     def test_bad_sample_flag_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "gen.geoms.jsonl"
@@ -367,6 +370,15 @@ class TestFlagChecks:
     def test_bad_reflow_rounds_is_usage_error(self, tmp_path, capsys, rounds):
         out = tmp_path / "m2.gflow.ckpt"
         code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--rounds", rounds,
+                   "--out", out)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_reflow_threads_is_usage_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "m2.gflow.ckpt"
+        code = run("reflow", "--ckpt", tmp_path / "missing.gflow.ckpt", "--threads", threads,
                    "--out", out)
         assert code == 1
         assert "usage error" in capsys.readouterr().err

@@ -310,6 +310,18 @@ class TestMalformedHeaders:
         with pytest.raises(MalformedFileError, match="finite"):
             load_pairs(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_checkpoint_parameter(self, tmp_path, value):
+        path = tmp_path / "m.gflow.ckpt"
+        save_checkpoint(path, VectorFieldModel(d=3, k=2, hidden=4, flow_layers=1, seed=0))
+        blob = bytearray(path.read_bytes())
+        start = blob.index(b"\n") + 1  # the first parameter
+        blob[start : start + 8] = np.array([value], "<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MalformedFileError, match="finite") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_huge_point_count_is_truncation(self, tmp_path):
         path = tmp_path / "c.pairs.bin"
         save_pairs(path, CouplingSet([CouplingPair(sample_noise(4, 2, 0),

@@ -43,9 +43,10 @@ class TestDenseNet:
         net = DenseNet([4, 3], np.random.default_rng(1))
         x = rng.standard_normal((7, 4))
         y = rng.standard_normal((7, 3))
-        pred = net.forward(x)
+        tape = []
+        pred = net.forward(x, tape)
         net.zero_grads()
-        dx = net.backward(2.0 * (pred - y))
+        dx = net.backward(2.0 * (pred - y), tape)
         w = net.weights[0]
         expected_dw = 2.0 * (x @ w.T + net.biases[0] - y).T @ x
         np.testing.assert_allclose(net.grad_w[0], expected_dw, atol=1e-9)
@@ -53,24 +54,26 @@ class TestDenseNet:
 
     def test_zero_adjoint_gives_zero_gradients(self):
         net = DenseNet([3, 5, 2], np.random.default_rng(2))
-        net.forward(np.random.default_rng(3).standard_normal((4, 3)))
+        tape = []
+        net.forward(np.random.default_rng(3).standard_normal((4, 3)), tape)
         net.zero_grads()
-        net.backward(np.zeros((4, 2)))
+        net.backward(np.zeros((4, 2)), tape)
         assert all(np.all(g == 0) for g in net.grads())
 
     def test_backward_without_forward_raises(self):
         net = DenseNet([3, 2], np.random.default_rng(4))
-        with pytest.raises(RuntimeError, match="cached forward"):
-            net.backward(np.zeros((1, 2)))
+        with pytest.raises(RuntimeError, match="recorded forward"):
+            net.backward(np.zeros((1, 2)), [])
 
     def test_gradients_accumulate_until_cleared(self):
         net = DenseNet([2, 2], np.random.default_rng(5))
         x = np.ones((1, 2))
-        net.forward(x)
-        net.backward(np.ones((1, 2)))
+        tape = []
+        net.forward(x, tape)
+        net.backward(np.ones((1, 2)), tape)
         once = net.grad_w[0].copy()
-        net.forward(x)
-        net.backward(np.ones((1, 2)))
+        net.forward(x, tape)
+        net.backward(np.ones((1, 2)), tape)
         np.testing.assert_allclose(net.grad_w[0], 2 * once, atol=1e-15)
 
 
@@ -86,22 +89,22 @@ class TestEquivariantLayer:
     def test_preserves_zero_com(self):
         for seed in range(5):
             layer, x, h = self.layer_and_input(seed)
-            x_out, _ = layer.forward(x, h, cache=False)
+            x_out, _ = layer.forward(x, h)
             assert np.abs(x_out.mean(axis=0)).max() <= 1e-9
 
     def test_rotation_equivariance_and_feature_invariance(self):
         layer, x, h = self.layer_and_input(7)
         rot = random_rotation(8)
-        x_out, h_out = layer.forward(x, h, cache=False)
-        xr_out, hr_out = layer.forward(x @ rot.r.T, h, cache=False)
+        x_out, h_out = layer.forward(x, h)
+        xr_out, hr_out = layer.forward(x @ rot.r.T, h)
         np.testing.assert_allclose(xr_out, x_out @ rot.r.T, atol=1e-7)
         np.testing.assert_allclose(hr_out, h_out, atol=1e-7)
 
     def test_permutation_exactness(self):
         layer, x, h = self.layer_and_input(9)
         perm = np.random.default_rng(10).permutation(len(x))
-        x_out, h_out = layer.forward(x, h, cache=False)
-        xp_out, hp_out = layer.forward(x[perm], h[perm], cache=False)
+        x_out, h_out = layer.forward(x, h)
+        xp_out, hp_out = layer.forward(x[perm], h[perm])
         assert np.array_equal(xp_out, x_out[perm])
         assert np.array_equal(hp_out, h_out[perm])
 
@@ -109,7 +112,7 @@ class TestEquivariantLayer:
         layer = EquivariantLayer(4, np.random.default_rng(11))
         x = np.zeros((1, 3))
         h = np.ones((1, 4))
-        x_out, h_out = layer.forward(x, h, cache=False)
+        x_out, h_out = layer.forward(x, h)
         np.testing.assert_array_equal(x_out, x)
         assert h_out.shape == (1, 4)
 
@@ -165,17 +168,19 @@ class TestBackward:
     def test_zero_adjoint_zero_gradients(self):
         model = small_model(13)
         z = random_latent(14)
-        forward(model, z, 0.5, cache=True)
+        tape = []
+        forward(model, z, 0.5, tape)
         model.zero_grads()
-        grads = backward(model, (np.zeros((z.n, 3)), np.zeros((z.n, model.k))))
+        grads = backward(model, (np.zeros((z.n, 3)), np.zeros((z.n, model.k))), tape)
         assert all(np.all(g == 0) for g in grads)
 
     def test_missing_cache_raises(self):
         model = small_model(15)
         z = random_latent(16)
-        forward(model, z, 0.5, cache=False)
-        with pytest.raises(RuntimeError, match="cached forward"):
-            backward(model, (np.zeros((z.n, 3)), np.zeros((z.n, model.k))))
+        tape = []
+        forward(model, z, 0.5)
+        with pytest.raises(RuntimeError, match="recorded forward"):
+            backward(model, (np.zeros((z.n, 3)), np.zeros((z.n, model.k))), tape)
 
     def test_full_model_matches_finite_differences(self):
         rep = grad_check(lambda: small_model(17, hidden=8), tolerance=1e-4, seed=0)
@@ -194,11 +199,13 @@ class TestBackward:
                 + np.sum((v.features - target.features) ** 2)
             ) / numel
 
-        v = forward(model, z, 0.6, cache=True)
+        tape = []
+        v = forward(model, z, 0.6, tape)
         model.zero_grads()
         dzx, dzh = model.backward_velocity(
             2.0 * (v.coords - target.coords) / numel,
             2.0 * (v.features - target.features) / numel,
+            tape,
         )
         h = 1e-6
         zx = np.array(z.coords)
@@ -207,6 +214,51 @@ class TestBackward:
             bump[idx] = h
             fd = (loss(zx + bump, z.features) - loss(zx - bump, z.features)) / (2 * h)
             assert abs(fd - dzx[idx]) <= 1e-6
+
+
+    def test_autoencoder_matches_finite_differences(self):
+        # train_autoencoder's loss: squared coordinate error plus cross-entropy
+        # on the argmax class, through noised latents.
+        model = VectorFieldModel(d=3, k=2, hidden=6, flow_layers=1, seed=34)
+        rng = np.random.default_rng(35)
+        n, sigma0 = 5, 0.1
+        x = rng.standard_normal((n, 3))
+        x -= x.mean(axis=0)
+        feats = rng.standard_normal((n, 3))
+        labels = np.argmax(feats, axis=1)
+        eps = sample_noise(n, model.k, rng)
+
+        x_in = x.copy()  # the encoder's input; x stays the target
+
+        def run(tape=None):
+            mu_x, mu_h = model.encode_means(x_in, feats, tape)
+            x_rec, logits = model.decode_arrays(mu_x + sigma0 * eps.coords,
+                                                mu_h + sigma0 * eps.features, tape)
+            ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p = ez / ez.sum(axis=1, keepdims=True)
+            loss = ((x_rec - x) ** 2).mean() - np.log(p[np.arange(n), labels]).mean()
+            return loss, x_rec, p
+
+        tape = []
+        _, x_rec, p = run(tape)
+        model.zero_grads()
+        dx = model.ae_backward(2.0 * (x_rec - x) / x.size,
+                               (p - np.eye(3)[labels]) / n, tape)
+        assert not tape
+        analytic = np.concatenate([g.ravel() for g in model.gradients("ae")] + [dx.ravel()])
+        step, numeric = 1e-5, []
+        for arr in [*model.parameters("ae"), x_in]:
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + step
+                lp = run()[0]
+                arr[idx] = orig - step
+                lm = run()[0]
+                arr[idx] = orig
+                numeric.append((lp - lm) / (2.0 * step))
+        numeric = np.array(numeric)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+        assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
 
 
 class TestEncodeDecode:
@@ -391,8 +443,9 @@ class TestDenseTape:
         net = DenseNet([5, 7, 6, 3], rng)
         x = rng.standard_normal((9, 5))
         dy = rng.standard_normal((9, 3))
-        net.forward(x)
-        dx = net.backward(dy)
+        tape = []
+        net.forward(x, tape)
+        dx = net.backward(dy, tape)
         # the same chain rule with the activation slope recomputed
         zs, a = [], x
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -432,14 +485,75 @@ class TestStackedVelocity:
         rng = np.random.default_rng(48)
         dvx, dvh = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
         model.zero_grads()
-        model.velocity(stack(zs), 0.6, cache=True, n=4)
-        dzx, dzh = model.backward_velocity(dvx, dvh)
+        tape = []
+        model.velocity(stack(zs), 0.6, tape, n=4)
+        dzx, dzh = model.backward_velocity(dvx, dvh, tape)
         stacked = [g.copy() for g in model.gradients()]
         model.zero_grads()
         for s, z in enumerate(zs):
-            model.velocity(z, 0.6, cache=True)
-            ex, eh = model.backward_velocity(dvx[4 * s : 4 * s + 4], dvh[4 * s : 4 * s + 4])
+            model.velocity(z, 0.6, tape)
+            ex, eh = model.backward_velocity(dvx[4 * s : 4 * s + 4], dvh[4 * s : 4 * s + 4],
+                                             tape)
             np.testing.assert_allclose(dzx[4 * s : 4 * s + 4], ex, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(dzh[4 * s : 4 * s + 4], eh, rtol=1e-12, atol=1e-12)
         for a, b in zip(stacked, model.gradients()):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+def _velocity_pass(model, seed, n):
+    z = random_latent(seed, n=n)
+    adjoint = np.random.default_rng(seed + 1).standard_normal((2, n, 3))
+    return (lambda tape: model.velocity(z, 0.3, tape),
+            lambda tape: model.backward_velocity(adjoint[0], adjoint[1], tape))
+
+
+def _autoencoder_pass(model, seed, n):
+    rng = np.random.default_rng(seed)
+    x, feats = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    dx_rec, dlogits = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    return (lambda tape: model.decode_arrays(*model.encode_means(x, feats, tape), tape),
+            lambda tape: (model.ae_backward(dx_rec, dlogits, tape),))
+
+
+class TestTape:
+    def model(self):
+        return VectorFieldModel(d=3, k=3, hidden=8, flow_layers=2, seed=60)
+
+    @pytest.mark.parametrize("make_pass", [_velocity_pass, _autoencoder_pass])
+    def test_interleaved_tapes_match_passes_alone(self, make_pass):
+        model = self.model()
+        passes = [make_pass(model, 61, 4), make_pass(model, 62, 6)]
+        alone = []
+        for fwd, bwd in passes:
+            tape = []
+            fwd(tape)
+            model.zero_grads()
+            alone.append((bwd(tape), [g.copy() for g in model.gradients()]))
+        tapes = [[], []]
+        for (fwd, _), tape in zip(passes, tapes):
+            fwd(tape)
+        for (_, bwd), tape, (adjoints, grads) in zip(passes, tapes, alone):
+            model.zero_grads()
+            got = bwd(tape)
+            assert not tape
+            assert all(np.array_equal(a, b) for a, b in zip(got, adjoints))
+            assert all(np.array_equal(a, b) for a, b in zip(model.gradients(), grads))
+
+    @pytest.mark.parametrize("make_pass", [_velocity_pass, _autoencoder_pass])
+    def test_passes_leave_no_state_on_blocks(self, make_pass):
+        model = self.model()
+        objects = [model, model.enc_layer, *model.dec_stack, *model.flow_stack,
+                   *model._nets()]
+        before = [dict(vars(obj)) for obj in objects]
+        fwd, bwd = make_pass(model, 63, 5)
+        tape = []
+        fwd(tape)
+        bwd(tape)
+        for obj, attrs in zip(objects, before):
+            assert vars(obj).keys() == attrs.keys()
+            assert all(vars(obj)[key] is value for key, value in attrs.items())
+
+    def test_backward_on_empty_tape_raises(self):
+        model = self.model()
+        with pytest.raises(RuntimeError, match="recorded forward"):
+            model.ae_backward(np.zeros((4, 3)), np.zeros((4, 3)), [])
