@@ -57,16 +57,14 @@ class CostMatrix:
 class OmtSolution:
     """Result of a joint alignment solve.
 
-    `cost` is the minimized squared objective; `cost_unsquared` evaluates the
-    same transforms under unsquared norms (lam * ||dx|| + (1-lam) * ||dh||),
-    with `coord_cost`/`feature_cost` the two unsquared parts.
+    `cost` is the minimized squared objective; `coord_cost`/`feature_cost`
+    are the unsquared norms ||dx|| and ||dh|| under the same transforms.
     """
 
     rotation: Rotation
     permutation: Permutation
     aligned_target: LatentGeometry
     cost: float
-    cost_unsquared: float
     coord_cost: float
     feature_cost: float
     iterations: int
@@ -147,7 +145,6 @@ def _solution(z1, z0, lam, perm, rot, iterations) -> OmtSolution:
         permutation=perm,
         aligned_target=LatentGeometry(z1.n, x1a, h1a),
         cost=lam * sse_x + (1.0 - lam) * sse_h,
-        cost_unsquared=lam * math.sqrt(sse_x) + (1.0 - lam) * math.sqrt(sse_h),
         coord_cost=math.sqrt(sse_x),
         feature_cost=math.sqrt(sse_h),
         iterations=iterations,

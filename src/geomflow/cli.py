@@ -97,19 +97,25 @@ def _same_kind(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in `path`; other JSON, or none, is a UsageError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise UsageError(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
 def load_config(path) -> dict:
     """The defaults updated from the flat JSON object in `path`, checked in
     full (kinds, then the TrainConfig and ValidityRule checks) before any
     work; every failure is a UsageError."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                user = json.load(f)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config {path} is not valid JSON: {e}") from e
-        if not isinstance(user, dict):
-            raise UsageError(f"config {path} must hold a JSON object")
+        user = _read_json_object(path, "config")
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -139,10 +145,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def cmd_gendata(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise UsageError(f"template spec {args.spec} must hold a JSON object")
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
+    raw = _read_json_object(args.spec, "template spec")
     rule_dict = raw.pop("rule", None)
     try:
         spec = data.TemplateSpec(**raw)
@@ -312,6 +317,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 <= args.lam <= 1.0:
+        raise UsageError("--lambda must lie in [0, 1]")
     cset = data.load_pairs(args.pairs)
     report = costs.distribution_cost(cset, lam=args.lam, exact=args.exact)
     print(costs.CSV_HEADER)

@@ -53,10 +53,6 @@ def _as_latent(g) -> LatentGeometry:
     raise TypeError(f"expected Geometry or LatentGeometry, got {type(g)!r}")
 
 
-def _centered(z: LatentGeometry) -> LatentGeometry:
-    return LatentGeometry(z.n, z.coords - z.coords.mean(axis=0), z.features)
-
-
 def molecule_cost(g0, g1) -> float:
     """Unaligned pair cost: ||x1 - x0||_F + ||h1 - h0||_F."""
     a, b = _as_latent(g0), _as_latent(g1)
@@ -81,24 +77,22 @@ def optimal_molecule_cost(
     translation). `exact` switches to the permutation-enumeration oracle
     (n <= 8); otherwise the Hungarian/Kabsch solver is used.
     """
-    z0 = _centered(_as_latent(g0))
-    z1 = _centered(_as_latent(g1))
-    if exact:
-        cost, _, _ = brute_force_omt(z1, z0, lam)
-        return float(cost)
-    return float(solve_omt(z1, z0, lam, max_iters=max_iters, restarts=restarts).cost)
+    return _align(_as_latent(g0), _as_latent(g1), lam, exact, max_iters, restarts)[0]
 
 
-def _aligned_parts(z0: LatentGeometry, z1: LatentGeometry, lam, exact, max_iters, restarts):
-    """Unsquared (coord, feature) norms of an optimally aligned pair."""
-    z0c, z1c = _centered(z0), _centered(z1)
+def _align(z0: LatentGeometry, z1: LatentGeometry, lam, exact, max_iters, restarts):
+    """(squared objective, ||dx||, ||dh||) of the re-centered pair, optimally
+    aligned by the oracle (`exact`) or by `solve_omt`."""
+    z0c, z1c = (
+        LatentGeometry(z.n, z.coords - z.coords.mean(axis=0), z.features) for z in (z0, z1)
+    )
     if exact:
-        _, perm, rot = brute_force_omt(z1c, z0c, lam)
+        cost, perm, rot = brute_force_omt(z1c, z0c, lam)
         dx = z1c.coords[perm.map] @ rot.r.T - z0c.coords
         dh = z1c.features[perm.map] - z0c.features
-        return float(np.linalg.norm(dx)), float(np.linalg.norm(dh))
+        return float(cost), float(np.linalg.norm(dx)), float(np.linalg.norm(dh))
     sol = solve_omt(z1c, z0c, lam, max_iters=max_iters, restarts=restarts)
-    return sol.coord_cost, sol.feature_cost
+    return float(sol.cost), sol.coord_cost, sol.feature_cost
 
 
 def distribution_cost(
@@ -122,7 +116,7 @@ def distribution_cost(
     for p in pair_list:
         if p.z0.n != p.z1.n:
             raise ValueError("size mismatch inside coupling")
-        c, f = _aligned_parts(p.z0, p.z1, lam, exact, max_iters, restarts)
+        _, c, f = _align(p.z0, p.z1, lam, exact, max_iters, restarts)
         coord.append(c)
         feat.append(f)
         total.append(c + f)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alignment import solve_omt
 from .geometry import LatentGeometry, sample_noise
-from .nn import AdamState, VectorFieldModel, adam_step, decode, encode
+from .nn import AdamState, VectorFieldModel, _regression_loss, adam_step, decode, encode
 from .ode import SolverConfig, integrate
 
 _SOURCES = ("random", "estimated")
@@ -181,17 +181,8 @@ def align_pair(pair: CouplingPair, lam=0.5, max_iters=1, restarts=1):
 def _velocity_regression(model: VectorFieldModel, z0, z1t, t, backward=True):
     """Mean-squared velocity regression against the straight-path target."""
     zt = interpolate(z0, z1t, t)
-    tape = [] if backward else None
-    v = model.velocity(zt, t, tape)
-    ux = z1t.coords - z0.coords
-    uh = z1t.features - z0.features
-    numel = z0.n * (3 + z0.k)
-    loss = (np.sum((v.coords - ux) ** 2) + np.sum((v.features - uh) ** 2)) / numel
-    if backward:
-        model.backward_velocity(
-            2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel, tape
-        )
-    return float(loss)
+    ux, uh = z1t.coords - z0.coords, z1t.features - z0.features
+    return float(_regression_loss(model, zt, t, ux, uh, [] if backward else None))
 
 
 def fm_loss(model: VectorFieldModel, pair: CouplingPair, t: float, backward=True):

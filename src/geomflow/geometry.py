@@ -22,6 +22,20 @@ def _as_readonly(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _check_point_set(g, kind: str):
+    """Freeze a point set's arrays read-only and check their shapes and values."""
+    object.__setattr__(g, "coords", _as_readonly(g.coords))
+    object.__setattr__(g, "features", _as_readonly(g.features))
+    if g.n < 1:
+        raise ValueError(f"{kind} needs at least one point")
+    if g.coords.shape != (g.n, 3):
+        raise ValueError(f"coords shape {g.coords.shape} != ({g.n}, 3)")
+    if g.features.ndim != 2 or g.features.shape[0] != g.n:
+        raise ValueError("features must have one row per point")
+    if not np.isfinite(g.coords).all() or not np.isfinite(g.features).all():
+        raise ValueError(f"{kind} entries must be finite")
+
+
 @dataclass(frozen=True)
 class Geometry:
     """A featured point set: coords (n, 3) and features (n, d)."""
@@ -32,16 +46,7 @@ class Geometry:
     tag: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_readonly(self.coords))
-        object.__setattr__(self, "features", _as_readonly(self.features))
-        if self.n < 1:
-            raise ValueError("geometry needs at least one point")
-        if self.coords.shape != (self.n, 3):
-            raise ValueError(f"coords shape {self.coords.shape} != ({self.n}, 3)")
-        if self.features.ndim != 2 or self.features.shape[0] != self.n:
-            raise ValueError("features must have one row per point")
-        if not np.isfinite(self.coords).all() or not np.isfinite(self.features).all():
-            raise ValueError("geometry entries must be finite")
+        _check_point_set(self, "geometry")
 
     @property
     def d(self) -> int:
@@ -61,16 +66,7 @@ class LatentGeometry:
     features: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_readonly(self.coords))
-        object.__setattr__(self, "features", _as_readonly(self.features))
-        if self.n < 1:
-            raise ValueError("latent geometry needs at least one point")
-        if self.coords.shape != (self.n, 3):
-            raise ValueError(f"coords shape {self.coords.shape} != ({self.n}, 3)")
-        if self.features.ndim != 2 or self.features.shape[0] != self.n:
-            raise ValueError("features must have one row per point")
-        if not np.isfinite(self.coords).all() or not np.isfinite(self.features).all():
-            raise ValueError("latent geometry entries must be finite")
+        _check_point_set(self, "latent geometry")
 
     @property
     def k(self) -> int:

@@ -485,6 +485,18 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     return params, state
 
 
+def _regression_loss(model: VectorFieldModel, z: LatentGeometry, t, ux, uh, tape=None):
+    """Mean-squared error of v(z, t) against the target velocity (ux, uh);
+    given a tape, also accumulates the loss's parameter gradients."""
+    v = model.velocity(z, t, tape)
+    dx, dh = v.coords - ux, v.features - uh
+    numel = z.n * (3 + z.k)
+    loss = (np.sum(dx**2) + np.sum(dh**2)) / numel
+    if tape is not None:
+        model.backward_velocity(2.0 * dx / numel, 2.0 * dh / numel, tape)
+    return loss
+
+
 @dataclass
 class GradCheckReport:
     max_rel_err: float
@@ -511,17 +523,9 @@ def grad_check(model_factory, tolerance=1e-4, seed=0, step=1e-5) -> GradCheckRep
     t = float(rng.uniform())
     ux = rng.standard_normal((n, 3))
     uh = rng.standard_normal((n, model.k))
-    numel = n * (3 + model.k)
 
-    def loss_value():
-        v = model.velocity(z, t)
-        return (np.sum((v.coords - ux) ** 2) + np.sum((v.features - uh) ** 2)) / numel
-
-    tape = []
-    v = model.velocity(z, t, tape)
     model.zero_grads()
-    model.backward_velocity(2.0 * (v.coords - ux) / numel, 2.0 * (v.features - uh) / numel,
-                            tape)
+    _regression_loss(model, z, t, ux, uh, tape=[])
     analytic = np.concatenate([g.ravel() for g in model.gradients()])
 
     flat = model.get_flat()
@@ -530,10 +534,10 @@ def grad_check(model_factory, tolerance=1e-4, seed=0, step=1e-5) -> GradCheckRep
         orig = flat[i]
         flat[i] = orig + step
         model.set_flat(flat)
-        lp = loss_value()
+        lp = _regression_loss(model, z, t, ux, uh)
         flat[i] = orig - step
         model.set_flat(flat)
-        lm = loss_value()
+        lm = _regression_loss(model, z, t, ux, uh)
         flat[i] = orig
         numeric[i] = (lp - lm) / (2.0 * step)
     model.set_flat(flat)

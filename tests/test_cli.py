@@ -384,6 +384,23 @@ class TestFlagChecks:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_bad_gendata_count_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "ds.geoms.jsonl"
+        code = run("gendata", "--spec", tmp_path / "missing.json", "--count", count,
+                   "--out", out)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["2", "nan", "-0.5"])
+    def test_bad_eval_lambda_is_usage_error(self, tmp_path, capsys, lam):
+        code = run("eval", "--pairs", tmp_path / "missing.pairs.bin", "--lambda", lam)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "in_config, flag, expected",
         [(False, None, False), (True, None, True), (False, "on", True), (True, "off", False)],
@@ -444,9 +461,10 @@ class TestGendataSpecChecks:
             '{"rule": 3}',
             '{"rule": {"max_radius": -1.0}}',
             '{"num_templates": 0}',
+            '{bad',
         ],
         ids=["bare-number", "array", "unknown-rule-key", "non-object-rule",
-             "rule-range", "spec-range"],
+             "rule-range", "spec-range", "invalid-json"],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"
@@ -454,6 +472,16 @@ class TestGendataSpecChecks:
         out = tmp_path / "ds.geoms.jsonl"
         assert run("gendata", "--spec", path, "--count", 3, "--out", out) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_spec_or_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"seed": 1}')
+        out = tmp_path / "out"
+        assert run("gendata", "--spec", bad, "--count", 3, "--out", out) == 1
+        assert run("train", "--data", tmp_path / "missing.jsonl", "--config", bad,
+                   "--out", out) == 1
+        assert capsys.readouterr().err.count("usage error") == 2
         assert not out.exists()
 
 

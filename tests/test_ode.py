@@ -2,8 +2,100 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.ode import BudgetExceededError, SolverConfig, integrate
+
+# Reference integrator: the Euler, RK4 and Dormand-Prince loops written out
+# one by one, the Dormand-Prince one evaluating all seven stages on every
+# attempt. `integrate` must reach the same bits with fewer evaluations.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_ERR = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def reference_integrate(f, y0, config: SolverConfig):
+    """Returns (y1, accepted_steps, attempts)."""
+    y = np.array(y0, dtype=np.float64, copy=True)
+    if config.method == "euler":
+        n = config.fixed_steps
+        h = 1.0 / n
+        for i in range(n):
+            y = y + h * f(i / n, y)
+        return y, n, n
+    if config.method == "rk4":
+        n = config.fixed_steps
+        h = 1.0 / n
+        for i in range(n):
+            t = i / n
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(min(t + h, 1.0), y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return y, n, n
+    t = 0.0
+    h = min(config.init_step, 1.0)
+    accepted = 0
+    attempts = 0
+    safety, beta = 0.9, 0.04
+    expo = 0.2 - 0.75 * beta
+    fac_min, fac_max = 0.2, 10.0
+    err_old = 1e-4
+    k = [None] * 7
+    while t < 1.0 - 1e-14:
+        if attempts >= config.max_steps:
+            raise BudgetExceededError("solver budget exceeded")
+        attempts += 1
+        h = min(h, 1.0 - t)
+        k[0] = f(t, y)
+        for s in range(1, 7):
+            acc = _DP_A[s - 1][0] * k[0]
+            for j in range(1, s):
+                acc = acc + _DP_A[s - 1][j] * k[j]
+            k[s] = f(min(t + _DP_C[s] * h, 1.0), y + h * acc)
+        y5 = y + h * sum(_DP_B5[j] * k[j] for j in range(7))
+        err_vec = h * sum(_DP_ERR[j] * k[j] for j in range(7))
+        scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if err <= 1.0:
+            t = t + h
+            y = y5
+            accepted += 1
+            err_clamped = max(err, 1e-10)
+            fac = safety * err_clamped ** (-expo) * err_old**beta
+            h = h * min(fac_max, max(fac_min, fac))
+            err_old = max(err, 1e-4)
+        else:
+            fac = safety * err ** (-expo)
+            h = h * min(1.0, max(fac_min, fac))
+    return y, accepted, attempts
+
+
+def nonlinear_field(seed, size):
+    """A seeded smooth nonlinear field and a counter of its evaluations."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((size, size)) * rng.uniform(0.2, 3.0)
+    b = rng.standard_normal(size)
+    w = rng.uniform(0.5, 12.0)
+    calls = []
+
+    def f(t, y):
+        assert 0.0 <= t <= 1.0
+        calls.append(t)
+        return np.tanh(m @ y + b * np.sin(w * t)) - 0.3 * y * np.abs(y)
+
+    return f, calls, rng.standard_normal(size)
 
 
 class TestFixedStep:
@@ -88,3 +180,52 @@ class TestSolverConfig:
     def test_roundtrips_through_dict(self):
         cfg = SolverConfig("rk4", fixed_steps=33, rtol=1e-3, atol=1e-4)
         assert SolverConfig(**asdict(cfg)) == cfg
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 12),
+        method=st.sampled_from(["euler", "rk4"]),
+        steps=st.integers(1, 25),
+    )
+    def test_fixed_step_bitwise(self, seed, size, method, steps):
+        f, calls, y0 = nonlinear_field(seed, size)
+        cfg = SolverConfig(method, fixed_steps=steps)
+        ref, ref_steps, _ = reference_integrate(f, y0, cfg)
+        ref_calls = len(calls)
+        calls.clear()
+        y1, used = integrate(f, y0, cfg)
+        assert used == ref_steps == steps
+        assert y1.tobytes() == ref.tobytes()
+        assert len(calls) == ref_calls == steps * (1 if method == "euler" else 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 12),
+        rtol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
+        init_step=st.sampled_from([0.9, 0.3, 0.05, 1e-3]),
+    )
+    def test_adaptive_bitwise_with_first_same_as_last(self, seed, size, rtol, init_step):
+        f, calls, y0 = nonlinear_field(seed, size)
+        cfg = SolverConfig("adaptive", rtol=rtol, atol=rtol / 10, init_step=init_step)
+        ref, ref_steps, attempts = reference_integrate(f, y0, cfg)
+        assert len(calls) == 7 * attempts
+        calls.clear()
+        y1, accepted = integrate(f, y0, cfg)
+        assert accepted == ref_steps
+        assert y1.tobytes() == ref.tobytes()
+        assert len(calls) == 1 + 6 * attempts
+
+    def test_rejections_keep_the_first_stage(self):
+        # A large first step on a stiff, fast field is rejected at least once.
+        f, calls, y0 = nonlinear_field(7, 6)
+        cfg = SolverConfig("adaptive", rtol=1e-9, atol=1e-10, init_step=0.9)
+        ref, ref_steps, attempts = reference_integrate(f, y0, cfg)
+        calls.clear()
+        y1, accepted = integrate(f, y0, cfg)
+        assert attempts > accepted == ref_steps
+        assert y1.tobytes() == ref.tobytes()
+        assert len(calls) == 1 + 6 * attempts
