@@ -19,7 +19,15 @@ import numpy as np
 
 from .alignment import solve_omt
 from .geometry import LatentGeometry, sample_noise
-from .nn import AdamState, VectorFieldModel, _regression_loss, adam_step, decode, encode
+from .nn import (
+    AdamState,
+    VectorFieldModel,
+    _center_sets,
+    _regression_loss,
+    adam_step,
+    decode,
+    encode,
+)
 from .ode import SolverConfig, integrate
 
 _SOURCES = ("random", "estimated")
@@ -276,7 +284,7 @@ def train_autoencoder(model, dataset, config, rng):
     one-hot classes (targets taken as the argmax of each feature row)."""
 
     def item_loss(g, rng):
-        x = g.coords - g.coords.mean(axis=0)
+        x = _center_sets(g.coords, g.n)
         eps = sample_noise(g.n, model.k, rng)
         tape = []
         mu_x, mu_h = model.encode_means(x, g.features, tape)

@@ -7,13 +7,14 @@ and checked against central finite differences (`grad_check`).
 
 Two floating-point disciplines matter here:
 
-* Forward matmuls go through ``np.einsum(..., optimize=False)`` whose
-  per-row reduction order does not depend on row position, so permuting the
-  input points permutes the outputs bit-exactly (BLAS gemm does not have
-  that property). Backward passes use BLAS since gradients only need to be
-  mathematically exact.
-* Sums over neighbours are taken in sorted order, which makes the reduction
-  independent of how the points were enumerated.
+* Forward matmuls run one (1, K) @ (K, N) product per row, so a row's
+  output bits depend on that row alone: not on its position, on the other
+  rows, or on how many rows are stacked. Permuting the input points
+  therefore permutes the outputs bit-exactly (one gemm over all rows does
+  not have that property: BLAS blocks rows). Backward passes use plain BLAS
+  since gradients only need to be mathematically exact.
+* Sums over neighbours and set means are taken in sorted order, which makes
+  the reduction independent of how the points were enumerated.
 
 Backward passes read a tape that the caller owns. A forward pass given a
 list as `tape` appends the records its backward needs; the matching backward
@@ -58,9 +59,10 @@ def _pop(tape):
 
 
 def _rowwise_matmul(a, w):
-    # einsum keeps each output row's reduction order independent of the row
-    # position; required for exact permutation equivariance.
-    return np.einsum("ni,oi->no", a, w, optimize=False)
+    # a @ w.T as a stack of one-row products: every row runs the same
+    # (1, K) @ (K, N) call, so its bits cannot depend on its position or on
+    # the stack height; required for exact permutation equivariance.
+    return np.matmul(a[:, None, :], w.T)[:, 0, :]
 
 
 @functools.lru_cache(maxsize=64)
@@ -443,7 +445,7 @@ def encode(model: VectorFieldModel, g: Geometry, sigma0=0.0, seed=0):
     """
     if sigma0 < 0:
         raise ValueError("sigma0 must be non-negative")
-    x = g.coords - g.coords.mean(axis=0)
+    x = _center_sets(g.coords, g.n)
     mu_x, mu_h = model.encode_means(x, g.features)
     if sigma0 > 0:
         eps = sample_noise(g.n, model.k, seed)
@@ -455,9 +457,8 @@ def decode(model: VectorFieldModel, z: LatentGeometry) -> Geometry:
     """Map a latent point set back to a Geometry (coords re-centered)."""
     if z.k != model.k:
         raise ValueError("latent feature width mismatch")
-    zx = z.coords - z.coords.mean(axis=0)
-    x, feats = model.decode_arrays(zx, z.features)
-    return Geometry(z.n, x - x.mean(axis=0), feats)
+    x, feats = model.decode_arrays(_center_sets(z.coords, z.n), z.features)
+    return Geometry(z.n, _center_sets(x, z.n), feats)
 
 
 @dataclass

@@ -105,7 +105,9 @@ def integrate(f, y0, config: SolverConfig):
     k0 = f(t, y)
     while t < 1.0 - 1e-14:
         if attempts >= config.max_steps:
-            raise BudgetExceededError("solver budget exceeded")
+            raise BudgetExceededError(
+                f"solver budget exceeded at t={t!r}, h={h!r} after {attempts} attempts"
+            )
         attempts += 1
         h = min(h, 1.0 - t)
         y5, err_vec, k = _rk_step(f, _DP5, t, y, h, k0)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.flow import sample_noise
-from geomflow.geometry import LatentGeometry, random_rotation
+from geomflow.geometry import Geometry, LatentGeometry, random_rotation
 from geomflow.nn import (
     AdamState,
     DenseNet,
     EquivariantLayer,
     VectorFieldModel,
+    _center_sets,
+    _rowwise_matmul,
     adam_step,
     backward,
     decode,
@@ -266,8 +269,7 @@ class TestEncodeDecode:
         model = small_model(21)
         g = decode(model, random_latent(22))
         z = encode(model, g, sigma0=0.0)
-        zc = g.coords - g.coords.mean(axis=0)
-        np.testing.assert_array_equal(z.coords, zc)
+        np.testing.assert_array_equal(z.coords, _center_sets(g.coords, g.n))
         np.testing.assert_array_equal(z.features, g.features)
 
     def test_same_seed_identical(self):
@@ -283,8 +285,6 @@ class TestEncodeDecode:
         rng = np.random.default_rng(26)
         for i in range(100):
             n = int(rng.integers(2, 8))
-            from geomflow.geometry import Geometry
-
             g = Geometry(n, rng.standard_normal((n, 3)) + 3.0, rng.standard_normal((n, 3)))
             z = encode(model, g, sigma0=0.01, seed=i)
             assert np.abs(z.coords.mean(axis=0)).max() <= 1e-9
@@ -294,8 +294,6 @@ class TestEncodeDecode:
         rng = np.random.default_rng(28)
         coords = rng.standard_normal((5, 3))
         coords -= coords.mean(axis=0)
-        from geomflow.geometry import Geometry
-
         g = Geometry(5, coords, rng.standard_normal((5, 3)))
         out = decode(model, encode(model, g, sigma0=0.0))
         np.testing.assert_allclose(out.coords, g.coords, atol=1e-15)
@@ -312,12 +310,28 @@ class TestEncodeDecode:
 
     def test_trained_encoder_output_centered(self):
         model = VectorFieldModel(d=3, k=2, hidden=8, flow_layers=1, seed=32)
-        from geomflow.geometry import Geometry
-
         rng = np.random.default_rng(33)
         g = Geometry(6, rng.standard_normal((6, 3)) * 2.0, rng.standard_normal((6, 3)))
         z = encode(model, g, sigma0=0.0)
         assert np.abs(z.coords.mean(axis=0)).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29),
+           identity_latent=st.booleans())
+    def test_permutation_exactness(self, seed, n, identity_latent):
+        rng = np.random.default_rng(seed)
+        model = VectorFieldModel(d=3, k=2, hidden=8, flow_layers=1,
+                                 identity_latent=identity_latent, seed=seed)
+        perm = rng.permutation(n)
+        g = Geometry(n, rng.standard_normal((n, 3)) + 2.0, rng.standard_normal((n, 3)))
+        z = encode(model, g)
+        zp = encode(model, Geometry(n, g.coords[perm], g.features[perm]))
+        assert np.array_equal(zp.coords, z.coords[perm])
+        assert np.array_equal(zp.features, z.features[perm])
+        x = decode(model, z)
+        xp = decode(model, LatentGeometry(n, z.coords[perm], z.features[perm]))
+        assert np.array_equal(xp.coords, x.coords[perm])
+        assert np.array_equal(xp.features, x.features[perm])
 
 
 class TestAdam:
@@ -437,6 +451,46 @@ class TestSigmoid:
         assert out.shape == z.shape and out.dtype == np.float64
 
 
+def _matmul_input(rng, m, k, layout):
+    """An (m, k) operand laid out as a contiguous array, an offset and
+    strided view into a larger one, or a buffer misaligned for float64."""
+    if layout == "strided":
+        return rng.standard_normal((3 * m + 2, k + 3))[2::3, 1 : k + 1]
+    a = rng.standard_normal((m, k))
+    if layout == "misaligned":
+        raw = np.zeros(a.nbytes + 4, dtype=np.uint8)[4:].view(np.float64).reshape(m, k)
+        raw[...] = a
+        assert not raw.flags.aligned
+        return raw
+    return a
+
+
+class TestRowwiseMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 200),
+           k=st.integers(1, 130), n=st.integers(1, 70),
+           layout=st.sampled_from(["contiguous", "strided", "misaligned"]))
+    def test_each_row_is_its_own_product(self, seed, m, k, n, layout):
+        rng = np.random.default_rng(seed)
+        a = _matmul_input(rng, m, k, layout)
+        w = rng.standard_normal((n, k))
+        out = _rowwise_matmul(a, w)
+        assert out.shape == (m, n)
+        # A row's bits are those of the same product on a fresh one-row
+        # copy. This also fails if the stack is ever folded into one gemm,
+        # whose row blocking makes a row's bits depend on its position.
+        for i in range(m):
+            assert np.array_equal(out[i], _rowwise_matmul(a[i : i + 1].copy(), w)[0])
+        perm = rng.permutation(m)
+        assert np.array_equal(_rowwise_matmul(a[perm], w), out[perm])
+        s, e = np.sort(rng.integers(0, m + 1, 2))
+        assert np.array_equal(_rowwise_matmul(a[s:e], w), out[s:e])
+        # the same product as einsum up to rounding: within 1e-12 of the
+        # sum of the absolute products
+        ref = np.einsum("ni,oi->no", a, w, optimize=False)
+        assert np.all(np.abs(out - ref) <= 1e-12 * (np.abs(a) @ np.abs(w).T))
+
+
 class TestDenseTape:
     def test_backward_matches_silu_grad_bitwise(self):
         rng = np.random.default_rng(41)
@@ -449,7 +503,7 @@ class TestDenseTape:
         # the same chain rule with the activation slope recomputed
         zs, a = [], x
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            z = np.einsum("ni,oi->no", a, w, optimize=False) + b
+            z = _rowwise_matmul(a, w) + b
             zs.append(z)
             a = silu(z)
         d = dy

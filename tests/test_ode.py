@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -162,6 +163,25 @@ class TestAdaptive:
         cfg = SolverConfig("adaptive", rtol=1e-12, atol=1e-14, max_steps=3)
         with pytest.raises(BudgetExceededError, match="solver budget exceeded"):
             integrate(lambda t, y: np.sin(40 * t) * y, np.ones(4), cfg)
+
+    def test_budget_error_names_t_h_and_attempts(self):
+        # Every attempt is rejected with an error far above tolerance, so
+        # t stays 0 and each rejection shrinks h by the controller's
+        # minimum factor 0.2.
+        cfg = SolverConfig("adaptive", rtol=1e-12, atol=1e-14, max_steps=3, init_step=0.05)
+        with pytest.raises(BudgetExceededError) as info:
+            integrate(lambda t, y: 1e8 * np.cos(1e4 * t) * y, np.ones(4), cfg)
+        found = re.fullmatch(
+            r"solver budget exceeded at t=(\S+), h=(\S+) after (\d+) attempts",
+            str(info.value),
+        )
+        assert found is not None
+        h = 0.05
+        for _ in range(3):
+            h *= 0.2
+        assert float(found[1]) == 0.0
+        assert float(found[2]) == h
+        assert int(found[3]) == 3
 
 
 class TestSolverConfig:
