@@ -1,7 +1,8 @@
 """Command-line driver: gendata / train / reflow / sample / eval / selftest.
 
 Every command is deterministic given --seed. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 self-test failure.
+error, 2 data error, 3 self-test failure, 4 solver error (the adaptive step
+budget ran out).
 """
 
 from __future__ import annotations
@@ -628,7 +629,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (data.PersistenceError, ode.BudgetExceededError, OSError, ValueError) as e:
+    except ode.BudgetExceededError as e:
+        print(f"solver error: {e}", file=sys.stderr)
+        return 4
+    except (data.PersistenceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -303,31 +303,35 @@ def train_autoencoder(model, dataset, config, rng):
     return _fit(model, "ae", dataset, item_loss, config.ae_epochs, config, rng)
 
 
-def _pack(z: LatentGeometry) -> np.ndarray:
-    return np.concatenate([np.asarray(z.coords).ravel(), np.asarray(z.features).ravel()])
-
-
-def _unpack(y: np.ndarray, n: int, k: int) -> LatentGeometry:
-    return LatentGeometry(n, y[: 3 * n].reshape(n, 3), y[3 * n :].reshape(n, k))
-
-
 def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig, n=None):
     """Integrate the learned field from the noise sample to t = 1.
 
     With `n`, z0 stacks z0.n // n draws of n points, integrated as one
-    state: a fixed-step solver brings each draw to the endpoint it reaches
-    alone, bit for bit, while an adaptive one would choose one step size for
-    all. Returns (terminal latent geometry, accepted step count).
+    state of one row per draw; each draw keeps its own step control, so
+    every solver brings it to the endpoint it reaches alone, bit for bit.
+    Returns (terminal latent geometry, accepted steps): an int without `n`,
+    one count per draw with it.
     """
     if z0.k != model.k:
         raise ValueError("latent feature width mismatch")
-    rows, k = z0.n, z0.k
+    size = z0.n if n is None else n
+    if size < 1 or z0.n % size:
+        raise ValueError("stacked rows are not a whole number of sets")
+    k, cut = z0.k, 3 * size
+
+    def pack(z):
+        return np.concatenate([z.coords.reshape(-1, cut), z.features.reshape(-1, size * k)],
+                              axis=1)
+
+    def unpack(y):
+        return LatentGeometry(len(y) * size, y[:, :cut].reshape(-1, 3),
+                              y[:, cut:].reshape(-1, k))
 
     def f(t, y):
-        return _pack(model.velocity(_unpack(y, rows, k), t, n=n))
+        return pack(model.velocity(unpack(y), t, n=size))
 
-    y1, steps = integrate(f, _pack(z0), solver)
-    return _unpack(y1, rows, k), steps
+    y1, _, steps = integrate(f, pack(z0), solver)
+    return unpack(y1), (int(steps[0]) if n is None else steps)
 
 
 def _spawned(seed, count):
@@ -347,12 +351,12 @@ def _map_indexed(fn, items, threads):
 _STACK_EDGES = 4096
 
 
-def _stacks(draws, fixed_step):
-    """Indices of `draws` in solve order, split into stacks: one stack per
-    draw, or with a fixed-step solver per point count up to _STACK_EDGES."""
+def _stacks(draws):
+    """Indices of `draws` in solve order, split into stacks of one point
+    count with at most _STACK_EDGES edges (or one draw)."""
     groups: dict = {}
     for i, z in enumerate(draws):
-        groups.setdefault(z.n if fixed_step else i, []).append(i)
+        groups.setdefault(z.n, []).append(i)
     stacks = []
     for idx in groups.values():
         n = draws[idx[0]].n
@@ -366,8 +370,8 @@ def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, se
     """(noise, ODE endpoint, accepted steps) for each of `count` draws, each
     draw from its own child of `seed`, in draw order.
 
-    Draws of one size that share a fixed-step solve are integrated as one
-    stacked state; `threads` maps over the stacks.
+    Draws of one size are integrated as one stacked state, each with its
+    own step control; `threads` maps over the stacks.
     """
     draws = []
     for ss in _spawned(seed, count):
@@ -384,12 +388,12 @@ def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, se
         z1, steps = sample_ode(model, z0, solver, n)
         return [
             (i, LatentGeometry(n, z1.coords[s * n : (s + 1) * n],
-                               z1.features[s * n : (s + 1) * n]), steps)
+                               z1.features[s * n : (s + 1) * n]), int(steps[s]))
             for s, i in enumerate(idx)
         ]
 
     out = [None] * count
-    for solved in _map_indexed(solve, _stacks(draws, solver.method != "adaptive"), threads):
+    for solved in _map_indexed(solve, _stacks(draws), threads):
         for i, z1, steps in solved:
             out[i] = (draws[i], z1, steps)
     return out

@@ -376,16 +376,21 @@ class VectorFieldModel:
 
     # -- velocity field ------------------------------------------------------
 
-    def velocity(self, z: LatentGeometry, t: float, tape=None, n=None) -> LatentGeometry:
+    def velocity(self, z: LatentGeometry, t, tape=None, n=None) -> LatentGeometry:
         """v(z, t); with `n`, z stacks z.n // n sets of n points, each
-        evaluated as if alone."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
+        evaluated as if alone. `t` is one time for all sets or one per set."""
         if z.k != self.k:
             raise ValueError("latent feature width mismatch")
         if n is not None and (n < 1 or z.n % n):
             raise ValueError("stacked rows are not a whole number of sets")
-        h_in = np.concatenate([z.features, np.full((z.n, 1), float(t))], axis=1)
+        size = z.n if n is None else n
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim and t.shape != (z.n // size,):
+            raise ValueError(f"need one time per set: {z.n // size}, got shape {t.shape}")
+        if not ((t >= 0.0) & (t <= 1.0)).all():
+            raise ValueError("t must lie in [0, 1]")
+        t_col = np.repeat(np.broadcast_to(t, (z.n // size,)), size)[:, None]
+        h_in = np.concatenate([z.features, t_col], axis=1)
         x, vh = self._forward("flow", z.coords, h_in, tape, n)
         return LatentGeometry(z.n, x - z.coords, vh)
 

@@ -375,9 +375,9 @@ def test_c11_ode_solver_correctness(trained):
     for seed in range(50):
         srng = np.random.default_rng(seed)
         draws.append(sample_noise(sampler.sample(srng), trained.k, srng))
-    # The references of one size are solved as one stacked state: a fixed-step
-    # solver brings each draw to its solo endpoint bit for bit.
-    refs = {}
+    # The draws of one size are solved as one stacked state, by both solvers:
+    # each draw reaches its solo endpoint bit for bit.
+    refs, adps = {}, {}
     for n in sorted({z.n for z in draws}):
         idx = [i for i, z in enumerate(draws) if z.n == n]
         stacked = LatentGeometry(
@@ -386,13 +386,13 @@ def test_c11_ode_solver_correctness(trained):
             np.concatenate([draws[i].features for i in idx]),
         )
         zr, _ = sample_ode(trained, stacked, reference, n)
+        za, _ = sample_ode(trained, stacked, adaptive, n)
         for s, i in enumerate(idx):
             rows = slice(s * n, (s + 1) * n)
             refs[i] = np.concatenate([zr.coords[rows].ravel(), zr.features[rows].ravel()])
-    for seed, z0 in enumerate(draws):
-        za, _ = sample_ode(trained, z0, adaptive)
-        ref_vec = refs[seed]
-        adp_vec = np.concatenate([za.coords.ravel(), za.features.ravel()])
+            adps[i] = np.concatenate([za.coords[rows].ravel(), za.features[rows].ravel()])
+    for seed in range(len(draws)):
+        ref_vec, adp_vec = refs[seed], adps[seed]
         err = float(np.linalg.norm(adp_vec - ref_vec))
         bound = 10.0 * max(adaptive.rtol * float(np.linalg.norm(ref_vec)), adaptive.atol)
         assert err <= bound, f"seed {seed}: {err} > {bound}"

@@ -450,6 +450,20 @@ class TestFlagChecks:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_budget_is_exit_4(self, tmp_path, spec_file, config_file, capsys):
+        ds = tmp_path / "ds.geoms.jsonl"
+        ckpt = tmp_path / "m.gflow.ckpt"
+        run("gendata", "--spec", spec_file, "--count", 20, "--out", ds)
+        assert run("train", "--data", ds, "--config", config_file, "--out", ckpt) == 0
+        out = tmp_path / "gen.geoms.jsonl"
+        capsys.readouterr()
+        code = run("sample", "--ckpt", ckpt, "--count", 3, "--solver", "adaptive",
+                   "--max-steps", 1, "--out", out)
+        assert code == 4
+        assert re.search(r"^solver error: solver budget exceeded at t=.* after 1 attempts$",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists()
+
 
 class TestGendataSpecChecks:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from geomflow.flow import (
 )
 from geomflow.geometry import LatentGeometry
 from geomflow.nn import AdamState, VectorFieldModel, adam_step, decode, forward
-from geomflow.ode import SolverConfig
+from geomflow.ode import SolverConfig, integrate
 
 
 def tiny_dataset(count=60, seed=1):
@@ -281,7 +282,7 @@ def per_draw_endpoints(model, count, solver, seed):
 class TestStackedEndpoints:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("cap", [None, 40])
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("method", ["rk4", "euler", "adaptive"])
     def test_bitwise_equal_to_per_draw_sample_ode(self, monkeypatch, method, cap, threads):
         if cap is not None:
             # splits the stacks of 3 and 5 points and leaves 8 points alone
@@ -292,8 +293,11 @@ class TestStackedEndpoints:
         assert len({z0.n for z0, _, _ in want}) == 3
         got = generate(model, MIXED_SIZES, 14, solver, seed=0, threads=threads)
         est = estimate_couplings(model, 14, solver, 0, MIXED_SIZES, threads=threads)
+        if method == "adaptive":
+            assert len({steps for _, _, steps in want}) > 1
         for (z0, z1, steps), (g, g_steps), pair in zip(want, got, est, strict=True):
-            assert g_steps == steps == 5
+            assert g_steps == steps
+            assert method == "adaptive" or steps == 5
             ref = decode(model, z1)
             assert np.array_equal(g.coords, ref.coords)
             assert np.array_equal(g.features, ref.features)
@@ -304,7 +308,7 @@ class TestStackedEndpoints:
     def test_stacks_group_fixed_step_draws_by_size_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(flow_module, "_STACK_EDGES", 40)
         draws = [sample_noise(n, 2, i) for i, n in enumerate([3, 5, 3, 8, 5, 3, 5, 8, 3, 5])]
-        stacks = flow_module._stacks(draws, fixed_step=True)
+        stacks = flow_module._stacks(draws)
         assert sorted(i for idx in stacks for i in idx) == list(range(10))
         for idx in stacks:
             n = draws[idx[0]].n
@@ -312,9 +316,19 @@ class TestStackedEndpoints:
             assert len(idx) == 1 or len(idx) * n * (n - 1) <= 40
         assert [len(idx) for idx in stacks] == [4, 2, 2, 1, 1]
 
-    def test_adaptive_draws_are_solved_one_by_one(self):
-        draws = [sample_noise(n, 2, i) for i, n in enumerate([3, 3, 5, 3])]
-        assert flow_module._stacks(draws, fixed_step=False) == [[0], [1], [2], [3]]
+    def test_adaptive_draws_are_stacked_by_size(self, monkeypatch):
+        # one adaptive solve per point count, each a (draws, packed draw) state
+        shapes = []
+
+        def recorded(f, y0, config):
+            shapes.append(np.shape(y0))
+            return integrate(f, y0, config)
+
+        monkeypatch.setattr(flow_module, "integrate", recorded)
+        model = mixed_sizes_model()
+        got = generate(model, MIXED_SIZES, 14, SolverConfig("adaptive"), seed=0)
+        counts = Counter(g.n for g, _ in got)  # in order of first appearance
+        assert shapes == [(counts[n], n * (3 + model.k)) for n in counts]
 
     def test_adaptive_generate_matches_per_draw(self):
         model = mixed_sizes_model()

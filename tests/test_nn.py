@@ -533,6 +533,29 @@ class TestStackedVelocity:
         with pytest.raises(ValueError, match="whole number of sets"):
             small_model(42).velocity(random_latent(43, n=7), 0.5, n=3)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_per_set_times_bitwise_equal_solo_calls(self, n):
+        model = small_model(50 + n)
+        zs = [random_latent(60 + s, n=n) for s in range(4)]
+        times = [0.0, 0.31, 1.0, 0.77]
+        v = model.velocity(stack(zs), np.array(times), n=n)
+        for s, (z, t) in enumerate(zip(zs, times)):
+            u = model.velocity(z, t)
+            assert np.array_equal(v.coords[s * n : (s + 1) * n], u.coords)
+            assert np.array_equal(v.features[s * n : (s + 1) * n], u.features)
+        # one set without n, its time given as a length-1 array
+        u = model.velocity(zs[1], np.array([0.31]))
+        assert np.array_equal(u.coords, model.velocity(zs[1], 0.31).coords)
+
+    @pytest.mark.parametrize(
+        "times", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]],
+                  [0.1, -0.2, 0.3], [0.1, 1.5, 0.3], [0.1, np.nan, 0.3]],
+        ids=["short", "long", "2-d", "negative", "above-one", "nan"])
+    def test_bad_per_set_times_raise(self, times):
+        z = stack([random_latent(70 + s, n=4) for s in range(3)])
+        with pytest.raises(ValueError, match="one time per set|t must lie"):
+            small_model(71).velocity(z, np.array(times), n=4)
+
     def test_stacked_backward_matches_per_geometry(self):
         model = small_model(44)
         zs = [random_latent(45 + s, n=4) for s in range(3)]

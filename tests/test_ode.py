@@ -249,3 +249,80 @@ class TestAgainstReference:
         assert attempts > accepted == ref_steps
         assert y1.tobytes() == ref.tobytes()
         assert len(calls) == 1 + 6 * attempts
+
+
+def stacked_field(seed, size):
+    """The seeded field of `nonlinear_field` applied row by row to a stack,
+    a list of the row counts it was called with, and its 1-D field."""
+    f1, _, _ = nonlinear_field(seed, size)
+    rows = []
+
+    def f(t, y):
+        assert t.shape == (len(y),) and y.ndim == 2
+        rows.append(len(y))
+        return np.stack([f1(float(ti), yi) for ti, yi in zip(t, y)])
+
+    return f, rows, f1
+
+
+def varied_starts(seed, b, size):
+    """b starting rows of scales 0.1 to 3, so the rows need different steps."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((b, size)) * rng.uniform(0.1, 3.0, (b, 1))
+
+
+class TestStacked:
+    def check_rows(self, seed, size, y0, cfg):
+        """Every row of the stacked solve bit-equal to its solo solves;
+        returns each row's (accepted, attempts)."""
+        f, rows, f1 = stacked_field(seed, size)
+        y1, total, accepted = integrate(f, y0, cfg)
+        assert y1.shape == y0.shape and accepted.shape == (len(y0),)
+        assert isinstance(total, int) and total == accepted.sum()
+        counts = []
+        for r, start in enumerate(y0):
+            ref, ref_steps, attempts = reference_integrate(f1, start, cfg)
+            solo, solo_steps = integrate(f1, start, cfg)
+            assert isinstance(solo_steps, int)
+            assert accepted[r] == solo_steps == ref_steps
+            assert y1[r].tobytes() == solo.tobytes() == ref.tobytes()
+            counts.append((ref_steps, attempts))
+        if cfg.method == "adaptive":
+            assert sum(rows) == sum(1 + 6 * attempts for _, attempts in counts)
+        else:
+            stages = 1 if cfg.method == "euler" else 4
+            assert rows == [len(y0)] * (stages * cfg.fixed_steps)
+        return counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 8),
+        b=st.integers(1, 6),
+        rtol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
+        init_step=st.sampled_from([0.9, 0.3, 0.05]),
+    )
+    def test_adaptive_rows_equal_their_solo_solves(self, seed, size, b, rtol, init_step):
+        cfg = SolverConfig("adaptive", rtol=rtol, atol=rtol / 10, init_step=init_step)
+        self.check_rows(seed, size, varied_starts(seed, b, size), cfg)
+
+    def test_rows_reject_and_finish_apart(self):
+        # A large first step is rejected on some rows; the rows' scales make
+        # them finish after different numbers of attempts.
+        cfg = SolverConfig("adaptive", rtol=1e-9, atol=1e-10, init_step=0.9)
+        counts = self.check_rows(7, 6, varied_starts(7, 6, 6), cfg)
+        assert any(attempts > accepted for accepted, attempts in counts)
+        assert len({attempts for _, attempts in counts}) > 1
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_fixed_step_rows_equal_their_solo_solves(self, method):
+        self.check_rows(3, 5, varied_starts(3, 4, 5), SolverConfig(method, fixed_steps=7))
+
+    def test_budget_exceeded_in_a_stack(self):
+        cfg = SolverConfig("adaptive", rtol=1e-12, atol=1e-14, max_steps=3)
+
+        def f(t, y):
+            return 1e8 * np.cos(1e4 * t)[:, None] * y
+
+        with pytest.raises(BudgetExceededError, match="after 3 attempts"):
+            integrate(f, np.ones((3, 4)), cfg)
