@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,6 +30,19 @@ from .geometry import LatentGeometry, Permutation, Rotation, random_rotation
 CENTER_TOL = 1e-8
 ORACLE_MAX_N = 8
 ALTERNATION_EPS = 1e-10
+# The coordinate-vs-feature weight of the alignment cost.
+LAMBDA = 0.5
+
+
+class AlignBudget(NamedTuple):
+    """Alternation passes and starts of one `solve_omt` call."""
+
+    max_iters: int
+    restarts: int
+
+
+# The paper's alignment: one assignment-then-rotation pass from the identity.
+SINGLE_PASS = AlignBudget(max_iters=1, restarts=1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +103,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def cost_matrix(z1: LatentGeometry, z0: LatentGeometry, lam: float = 0.5) -> CostMatrix:
+def cost_matrix(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA) -> CostMatrix:
     """lam-weighted squared distances between every z1 row and every z0 row."""
     _check_pair(z1, z0, lam)
     m = lam * _sq_dists(z1.coords, z0.coords) + (1.0 - lam) * _sq_dists(
@@ -122,11 +136,7 @@ def kabsch(x_target: np.ndarray, x_ref: np.ndarray) -> Rotation:
         raise ValueError("kabsch needs at least two points")
     _check_centered(x_target, "kabsch")
     _check_centered(x_ref, "kabsch")
-    return _kabsch_rotation(x_target.T @ x_ref)
-
-
-def _kabsch_rotation(h: np.ndarray) -> Rotation:
-    u, _, vt = np.linalg.svd(h)
+    u, _, vt = np.linalg.svd(x_target.T @ x_ref)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     if d == 0:
         d = 1.0
@@ -151,13 +161,9 @@ def _solution(z1, z0, lam, perm, rot, iterations) -> OmtSolution:
     )
 
 
-def solve_omt(
-    z1: LatentGeometry,
-    z0: LatentGeometry,
-    lam: float = 0.5,
-    max_iters: int = 1,
-    restarts: int = 1,
-) -> OmtSolution:
+def solve_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA,
+              max_iters: int = SINGLE_PASS.max_iters,
+              restarts: int = SINGLE_PASS.restarts) -> OmtSolution:
     """Align z1 onto z0: cost matrix -> Hungarian -> Kabsch, then alternate.
 
     max_iters = 1 is the single assignment-then-rotation pass; larger values
@@ -182,10 +188,8 @@ def solve_omt(
     ]
 
     best = None
-    for r_init in inits:
-        rot_m = r_init
+    for rot_m in inits:
         prev_cost = np.inf
-        iters_done = 0
         local_best = None
         for it in range(max_iters):
             m = lam * _sq_dists(z1.coords @ rot_m.T, z0.coords) + (1.0 - lam) * feat_d2
@@ -195,20 +199,18 @@ def solve_omt(
             else:
                 rot = Rotation.identity()
             cand = _solution(z1, z0, lam, perm, rot, it + 1)
-            iters_done = it + 1
             if local_best is None or cand.cost < local_best.cost:
                 local_best = cand
             if prev_cost - cand.cost < ALTERNATION_EPS:
                 break
-            prev_cost = cand.cost
-            rot_m = rot.r
-        local_best = replace(local_best, iterations=iters_done)
+            prev_cost, rot_m = cand.cost, rot.r
+        local_best = replace(local_best, iterations=it + 1)
         if best is None or local_best.cost < best.cost:
             best = local_best
     return best
 
 
-def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = 0.5):
+def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA):
     """Exact global optimum of the squared alignment objective, n <= 8.
 
     Enumerates every permutation; per permutation the optimal rotation cost

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -27,32 +27,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunMetrics:
-    """One metrics.csv row; unset measurements stay empty in the file."""
-
-    phase: str
-    seed: int
-    config_hash: str
-    distribution_cost: float | None = None
-    per_atom_cost: float | None = None
-    mean_steps: float | None = None
-    median_steps: float | None = None
-    validity_rate: float | None = None
-    wall_seconds: float | None = None
-
-    def __post_init__(self):
-        if self.validity_rate is not None and not 0.0 <= self.validity_rate <= 1.0:
-            raise ValueError("validity_rate must lie in [0, 1]")
-        for name in ("distribution_cost", "per_atom_cost"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    def as_row(self) -> dict:
-        return {name: "" if v is None else v for name, v in asdict(self).items()}
 
 
 # The flat config is TrainConfig's fields, with `lam` named "lambda" and its
@@ -110,10 +84,10 @@ def _read_json_object(path, what: str) -> dict:
     return raw
 
 
-def load_config(path) -> dict:
-    """The defaults updated from the flat JSON object in `path`, checked in
-    full (kinds, then the TrainConfig and ValidityRule checks) before any
-    work; every failure is a UsageError."""
+def load_config(path, seed=None) -> dict:
+    """The defaults updated from the flat JSON object in `path`, then from
+    `seed` unless it is None, checked in full (kinds, then the TrainConfig
+    and ValidityRule checks) before any work; every failure is a UsageError."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
         user = _read_json_object(path, "config")
@@ -127,6 +101,8 @@ def load_config(path) -> dict:
                     f"not of the kind of its default {DEFAULT_CONFIG[key]!r}"
                 )
         cfg.update(user)
+    if seed is not None:
+        cfg["seed"] = seed
     try:
         train_config_from(cfg)
         rule_from(cfg)
@@ -146,8 +122,6 @@ def config_hash(cfg: dict) -> str:
 
 
 def cmd_gendata(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     raw = _read_json_object(args.spec, "template spec")
     rule_dict = raw.pop("rule", None)
     try:
@@ -167,9 +141,7 @@ def cmd_gendata(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config(args.config, args.seed)
     tconf, rule = train_config_from(cfg), rule_from(cfg)
     dataset = data.load_geometries(args.data)
     t0 = time.perf_counter()
@@ -199,33 +171,30 @@ def _flag_checked(build, *args, **kwargs):
 
 
 def _shuffled_baseline(cset: flow.CouplingSet) -> flow.CouplingSet:
-    """Re-pair noises with targets of the same size (cyclic shift per size)."""
+    """Re-pair each noise with the target of another pair of its size
+    (cyclic shift per size). A size with one pair has no other target, so
+    its pair is left out; the result may be empty."""
     by_n: dict = {}
     for p in cset:
         by_n.setdefault(p.z0.n, []).append(p)
     pairs = []
     for group in by_n.values():
-        for i, p in enumerate(group):
-            q = group[(i + 1) % len(group)]
-            pairs.append(flow.CouplingPair(p.z0, q.z1, source="random"))
+        if len(group) > 1:
+            for i, p in enumerate(group):
+                q = group[(i + 1) % len(group)]
+                pairs.append(flow.CouplingPair(p.z0, q.z1, source="random"))
     return flow.CouplingSet(pairs)
 
 
 def cmd_reflow(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config(args.config, args.seed)
     if args.purify is not None:
         cfg["purify"] = args.purify == "on"
     if args.pairs is not None:
         cfg["reflow_pairs"] = args.pairs
     tconf = _flag_checked(train_config_from, cfg)
-    if args.rounds < 1:
-        raise UsageError("--rounds must be >= 1")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     model = data.load_checkpoint(args.ckpt)
-    rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else rule_from(cfg)
+    rule = data.ValidityRule.from_meta(model.meta) or rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
 
     def validity(g):
@@ -244,26 +213,20 @@ def cmd_reflow(args) -> int:
             )
         else:
             base_set = _shuffled_baseline(cset)
-        base = costs.distribution_cost(base_set, lam=tconf.lam)
+        base = (f"{costs.distribution_cost(base_set, lam=tconf.lam).total_cost:.4f}"
+                if len(base_set) else "n/a")
         kept_rate = sum(1 for p in cset if p.valid) / len(cset)
         print(
             f"round {rnd + 1}: estimated-coupling cost {est.total_cost:.4f} "
-            f"vs random-coupling cost {base.total_cost:.4f} "
+            f"vs random-coupling cost {base} "
             f"({len(cset)} pairs, retained validity {kept_rate:.3f})"
         )
         if args.metrics:
-            data.append_metrics(
-                args.metrics,
-                RunMetrics(
-                    phase=f"reflow_round{rnd + 1}",
-                    seed=tconf.seed,
-                    config_hash=chash,
-                    distribution_cost=est.total_cost,
-                    per_atom_cost=est.per_atom_cost,
-                    validity_rate=kept_rate,
-                    wall_seconds=wall,
-                ).as_row(),
-            )
+            data.append_metrics(args.metrics, data.RunMetrics(
+                phase=f"reflow_round{rnd + 1}", seed=tconf.seed, config_hash=chash,
+                distribution_cost=est.total_cost, per_atom_cost=est.per_atom_cost,
+                validity_rate=kept_rate, wall_seconds=wall,
+            ).as_row())
     data.save_checkpoint(args.out, model)
     if args.pairs_out:
         data.save_pairs(args.pairs_out, cset)
@@ -271,35 +234,21 @@ def cmd_reflow(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    solver = _flag_checked(
-        ode.SolverConfig,
-        method=args.solver,
-        fixed_steps=args.steps,
-        rtol=args.rtol,
-        atol=args.atol,
-        max_steps=args.max_steps,
-        init_step=args.init_step,
-    )
-    if args.count < 0:
-        raise UsageError("--count must be >= 0")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
+    solver = _flag_checked(ode.SolverConfig, method=args.solver, fixed_steps=args.steps,
+                           rtol=args.rtol, atol=args.atol, max_steps=args.max_steps,
+                           init_step=args.init_step)
     model = data.load_checkpoint(args.ckpt)
-    if "size_hist" not in model.meta:
-        raise ValueError("checkpoint has no size histogram; was it trained?")
-    sampler = flow.SizeSampler.from_histogram(model.meta["size_hist"])
+    sampler = flow.SizeSampler.from_meta(model.meta)
     t0 = time.perf_counter()
     out = flow.generate(model, sampler, args.count, solver, args.seed, threads=args.threads)
     wall = time.perf_counter() - t0
     geoms = [g for g, _ in out]
     steps = [s for _, s in out]
     data.save_geometries(args.out, geoms)
-    rule = data.ValidityRule(**model.meta["rule"]) if "rule" in model.meta else None
-    if geoms and rule is not None:
-        validity = sum(1 for g in geoms if data.is_valid(g, rule)[0]) / len(geoms)
-    else:
-        validity = None
-    metrics = RunMetrics(
+    rule = data.ValidityRule.from_meta(model.meta)
+    validity = (sum(data.is_valid(g, rule)[0] for g in geoms) / len(geoms)
+                if geoms and rule is not None else None)
+    metrics = data.RunMetrics(
         phase="sample",
         seed=args.seed,
         config_hash=model.meta.get("config_hash", ""),
@@ -381,8 +330,8 @@ def suite_align():
         n = int(rng.integers(2, 6))
         z1 = flow.sample_noise(n, 2, rng)
         z0 = flow.sample_noise(n, 2, rng)
-        sol = alignment.solve_omt(z1, z0, 0.5, max_iters=30, restarts=32)
-        oracle, _, _ = alignment.brute_force_omt(z1, z0, 0.5)
+        sol = alignment.solve_omt(z1, z0, max_iters=30, restarts=32)
+        oracle, _, _ = alignment.brute_force_omt(z1, z0)
         agree += abs(sol.cost - oracle) <= 1e-8
         below = max(below, oracle - sol.cost)
     _check(
@@ -397,12 +346,12 @@ def suite_align():
         n = int(rng.integers(3, 6))
         z1 = flow.sample_noise(n, 2, rng)
         z0 = flow.sample_noise(n, 2, rng)
-        base, _, _ = alignment.brute_force_omt(z1, z0, 0.5)
+        base, _, _ = alignment.brute_force_omt(z1, z0)
         rot = geometry.rotation_from_rng(rng)
         perm = rng.permutation(n)
         x = (z1.coords @ rot.r.T + rng.standard_normal(3))[perm]
         z1t = geometry.LatentGeometry(n, x - x.mean(axis=0), z1.features[perm])
-        moved, _, _ = alignment.brute_force_omt(z1t, z0, 0.5)
+        moved, _, _ = alignment.brute_force_omt(z1t, z0)
         dev = max(dev, abs(moved - base))
     _check(checks, "oracle-transform-invariance", dev <= 1e-8, f"max dev {dev:.1e}")
     return checks
@@ -556,13 +505,24 @@ def cmd_selftest(args) -> int:
 # argument plumbing
 
 
+def _int_at_least(low):
+    """An argparse type: an integer of at least `low`; others are usage
+    errors at parse time, before any file is read."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="geomflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gendata", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="TemplateSpec JSON file")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gendata)
@@ -577,7 +537,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reflow", help="estimate/purify couplings and fine-tune")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=_int_at_least(1), default=1)
     p.add_argument("--purify", choices=("on", "off"), default=None,
                    help="overrides the config's purify")
     p.add_argument("--out", required=True)
@@ -587,13 +547,13 @@ def build_parser() -> _Parser:
     p.add_argument("--data", default=None, help="dataset for the random-coupling baseline")
     p.add_argument("--metrics", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_reflow)
 
     solver = ode.SolverConfig()
     p = sub.add_parser("sample", help="generate geometries from a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--solver", choices=ode.METHODS, default=solver.method)
     p.add_argument("--steps", type=int, default=solver.fixed_steps)
     p.add_argument("--rtol", type=float, default=solver.rtol)
@@ -603,12 +563,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="transport cost of a coupling file")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=flow.TrainConfig().lam)
+    p.add_argument("--lambda", dest="lam", type=float, default=alignment.LAMBDA)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_eval)
 

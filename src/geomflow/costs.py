@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import brute_force_omt, solve_omt
+from .alignment import LAMBDA, AlignBudget, brute_force_omt, solve_omt
 from .geometry import Geometry, LatentGeometry
 
 CSV_HEADER = "space,total_cost,per_atom_cost,coord_part,feature_part,num_pairs"
+# Reports alternate assignment and rotation from several starts.
+REPORT_BUDGET = AlignBudget(max_iters=20, restarts=4)
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,9 @@ def molecule_cost(g0, g1) -> float:
     )
 
 
-def optimal_molecule_cost(
-    g0,
-    g1,
-    lam: float = 0.5,
-    exact: bool = False,
-    max_iters: int = 20,
-    restarts: int = 4,
-) -> float:
+def optimal_molecule_cost(g0, g1, lam: float = LAMBDA, exact: bool = False,
+                          max_iters: int = REPORT_BUDGET.max_iters,
+                          restarts: int = REPORT_BUDGET.restarts) -> float:
     """Minimized squared alignment objective between g1 (target) and g0.
 
     Inputs are re-centered first (centering realizes the optimal
@@ -95,14 +92,10 @@ def _align(z0: LatentGeometry, z1: LatentGeometry, lam, exact, max_iters, restar
     return float(sol.cost), sol.coord_cost, sol.feature_cost
 
 
-def distribution_cost(
-    pairs,
-    lam: float = 0.5,
-    exact: bool = False,
-    max_iters: int = 20,
-    restarts: int = 4,
-    space: str = "latent",
-) -> CostReport:
+def distribution_cost(pairs, lam: float = LAMBDA, exact: bool = False,
+                      max_iters: int = REPORT_BUDGET.max_iters,
+                      restarts: int = REPORT_BUDGET.restarts,
+                      space: str = "latent") -> CostReport:
     """Monte Carlo estimate of the expected aligned transport cost.
 
     `pairs` is any iterable of objects with `.z0` and `.z1` latent

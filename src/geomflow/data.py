@@ -12,8 +12,7 @@ File formats owned here:
   *.geoms.jsonl   one JSON object per line: {"n", "coords", "features", "tag"?}
   *.gflow.ckpt    one JSON header line, then little-endian f64 parameters
   *.pairs.bin     one JSON header line, then fixed-layout binary pair records
-  metrics.csv     phase,distribution_cost,per_atom_cost,mean_steps,
-                  median_steps,validity_rate,wall_seconds,seed,config_hash
+  metrics.csv     one RunMetrics per row, header METRICS_FIELDS
 """
 
 from __future__ import annotations
@@ -25,27 +24,16 @@ import math
 import os
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .flow import CouplingPair, CouplingSet
+from .flow import CouplingPair, CouplingSet, SizeSampler
 from .geometry import Geometry, LatentGeometry, rotation_from_rng
 from .nn import VectorFieldModel
 
 CKPT_VERSION = 1
 PAIRS_VERSION = 1
-METRICS_FIELDS = [
-    "phase",
-    "distribution_cost",
-    "per_atom_cost",
-    "mean_steps",
-    "median_steps",
-    "validity_rate",
-    "wall_seconds",
-    "seed",
-    "config_hash",
-]
 
 
 class PersistenceError(Exception):
@@ -115,6 +103,11 @@ class ValidityRule:
             raise ValueError("min_pair_dist must be below max_radius")
         if not 0.0 < self.onehot_margin <= 1.0:
             raise ValueError("onehot_margin must lie in (0, 1]")
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "ValidityRule | None":
+        """The rule a trained model's `meta` stores, or None."""
+        return cls(**meta["rule"]) if "rule" in meta else None
 
 
 def default_rule(spec: TemplateSpec) -> ValidityRule:
@@ -306,6 +299,9 @@ def load_checkpoint(path) -> VectorFieldModel:
             raise MalformedFileError(f"{path}: architecture record is not a JSON object")
         try:
             model = VectorFieldModel.from_arch(arch)
+            if "size_hist" in model.meta:
+                SizeSampler.from_meta(model.meta)
+            ValidityRule.from_meta(model.meta)
         except (TypeError, ValueError) as e:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
         if header.get("param_count") != model.param_count:
@@ -394,6 +390,36 @@ def load_pairs(path) -> CouplingSet:
     return CouplingSet(pairs)
 
 
+@dataclass(kw_only=True)
+class RunMetrics:
+    """One metrics.csv row, fields in header order; unset measurements stay
+    empty in the file."""
+
+    phase: str
+    distribution_cost: float | None = None
+    per_atom_cost: float | None = None
+    mean_steps: float | None = None
+    median_steps: float | None = None
+    validity_rate: float | None = None
+    wall_seconds: float | None = None
+    seed: int
+    config_hash: str
+
+    def __post_init__(self):
+        if self.validity_rate is not None and not 0.0 <= self.validity_rate <= 1.0:
+            raise ValueError("validity_rate must lie in [0, 1]")
+        for name in ("distribution_cost", "per_atom_cost"):
+            v = getattr(self, name)
+            if v is not None and v < 0:
+                raise ValueError(f"{name} must be non-negative")
+
+    def as_row(self) -> dict:
+        return {name: "" if v is None else v for name, v in asdict(self).items()}
+
+
+METRICS_FIELDS = [f.name for f in fields(RunMetrics)]
+
+
 def append_metrics(path, row: dict):
     unknown = set(row) - set(METRICS_FIELDS)
     if unknown:
@@ -403,13 +429,7 @@ def append_metrics(path, row: dict):
         writer = csv.DictWriter(f, fieldnames=METRICS_FIELDS)
         if fresh:
             writer.writeheader()
-        writer.writerow({k: _fmt(row.get(k, "")) for k in METRICS_FIELDS})
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        writer.writerow(row)  # a float is written as its repr, a missing field empty
 
 
 def read_metrics(path):

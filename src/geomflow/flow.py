@@ -7,6 +7,11 @@ path target z1_hat - z0. Sampling integrates dz/dt = v(z, t) from 0 to 1.
 Reflow re-pairs each noise sample with the ODE endpoint it generates,
 optionally filters the decoded endpoints through a validity predicate
 (purification), re-aligns, and fine-tunes on the new coupling.
+
+Every ODE solve runs through `_solve_draws`: the draws of one size are
+integrated as one stacked state of one row per draw, each row with its own
+step control, so each draw reaches the endpoint of its solo solve bit for
+bit. `sample_ode` is its one-draw case.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .alignment import solve_omt
+from .alignment import LAMBDA, SINGLE_PASS, solve_omt
 from .geometry import LatentGeometry, sample_noise
 from .nn import (
+    ARCH_DEFAULTS,
     AdamState,
     VectorFieldModel,
     _center_sets,
+    _check_sizes,
     _regression_loss,
     adam_step,
     decode,
@@ -31,9 +38,6 @@ from .nn import (
 from .ode import SolverConfig, integrate
 
 _SOURCES = ("random", "estimated")
-# TrainConfig's architecture fields, named as VectorFieldModel's arguments.
-_ARCH_FIELDS = ("k", "hidden", "flow_layers", "decoder_layers", "identity_latent",
-                "coord_scale")
 
 
 @dataclass(frozen=True)
@@ -90,24 +94,24 @@ class CouplingSet:
 class TrainConfig:
     """Hyperparameters for training, alignment, and reflow."""
 
-    lam: float = 0.5
+    lam: float = LAMBDA
     epochs: int = 10
     batch_size: int = 16
     lr: float = 1e-4
     sigma0: float = 0.01
     purify: bool = True
     seed: int = 0
-    # architecture
-    k: int = 2
-    hidden: int = 64
-    flow_layers: int = 3
-    decoder_layers: int = 1
-    identity_latent: bool = False
-    coord_scale: float = 1.0
-    # alignment during training (paper-faithful single pass by default)
+    # architecture: the fields of nn.ARCH_DEFAULTS, with their defaults
+    k: int = ARCH_DEFAULTS["k"]
+    hidden: int = ARCH_DEFAULTS["hidden"]
+    flow_layers: int = ARCH_DEFAULTS["flow_layers"]
+    decoder_layers: int = ARCH_DEFAULTS["decoder_layers"]
+    identity_latent: bool = ARCH_DEFAULTS["identity_latent"]
+    coord_scale: float = ARCH_DEFAULTS["coord_scale"]
+    # alignment during training
     use_omt: bool = True
-    omt_iters: int = 1
-    omt_restarts: int = 1
+    omt_iters: int = SINGLE_PASS.max_iters
+    omt_restarts: int = SINGLE_PASS.restarts
     # autoencoder
     ae_epochs: int = 10
     # reflow
@@ -121,8 +125,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1 or self.ae_epochs < 0:
-            raise ValueError("epochs and batch size must be positive")
+        _check_sizes(epochs=self.epochs, batch_size=self.batch_size, k=self.k,
+                     hidden=self.hidden, flow_layers=self.flow_layers,
+                     decoder_layers=self.decoder_layers, omt_iters=self.omt_iters,
+                     omt_restarts=self.omt_restarts)
+        if self.ae_epochs < 0 or (self.reflow_epochs is not None and self.reflow_epochs < 0):
+            raise ValueError("ae_epochs and reflow_epochs must be >= 0")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.sigma0 < 0:
@@ -142,11 +150,25 @@ class SizeSampler:
 
     @classmethod
     def from_histogram(cls, hist: dict) -> "SizeSampler":
-        if not hist:
-            raise ValueError("empty size histogram")
-        sizes = sorted(int(n) for n in hist)
-        counts = np.array([hist[n] if n in hist else hist[str(n)] for n in sizes], float)
+        """From a map of point counts (ints or their decimal strings) to
+        positive integer counts."""
+        if not isinstance(hist, dict) or not hist:
+            raise ValueError("size histogram must be a non-empty object")
+        items = sorted((int(n), c) for n, c in hist.items())
+        sizes = [n for n, _ in items]
+        if sizes[0] < 1 or len(set(sizes)) < len(sizes):
+            raise ValueError("size histogram sizes must be distinct and >= 1")
+        if any(isinstance(c, bool) or not isinstance(c, int) or c < 1 for _, c in items):
+            raise ValueError("size histogram counts must be positive integers")
+        counts = np.array([c for _, c in items], float)
         return cls(tuple(sizes), tuple(counts / counts.sum()))
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "SizeSampler":
+        """From the histogram a trained model's `meta` stores."""
+        if "size_hist" not in meta:
+            raise ValueError("model has no size histogram; train it first")
+        return cls.from_histogram(meta["size_hist"])
 
     @classmethod
     def from_dataset(cls, geoms) -> "SizeSampler":
@@ -180,7 +202,8 @@ def interpolate(z0: LatentGeometry, z1: LatentGeometry, t: float) -> LatentGeome
     )
 
 
-def align_pair(pair: CouplingPair, lam=0.5, max_iters=1, restarts=1):
+def align_pair(pair: CouplingPair, lam=LAMBDA, max_iters=SINGLE_PASS.max_iters,
+               restarts=SINGLE_PASS.restarts):
     """Replace the pair's target with its OMT-aligned version."""
     sol = solve_omt(pair.z1, pair.z0, lam, max_iters=max_iters, restarts=restarts)
     return replace(pair, z1=sol.aligned_target, aligned=True), sol
@@ -222,7 +245,7 @@ def train(dataset, config: TrainConfig):
     d = _check_dataset(dataset)
     model = VectorFieldModel.from_arch({
         "d": d,
-        **{name: getattr(config, name) for name in _ARCH_FIELDS},
+        **{name: getattr(config, name) for name in ARCH_DEFAULTS},
         "seed": config.seed,
         "meta": {
             "size_hist": {str(n): c for n, c in sorted(size_histogram(dataset).items())},
@@ -303,47 +326,12 @@ def train_autoencoder(model, dataset, config, rng):
     return _fit(model, "ae", dataset, item_loss, config.ae_epochs, config, rng)
 
 
-def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig, n=None):
+def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig):
     """Integrate the learned field from the noise sample to t = 1.
 
-    With `n`, z0 stacks z0.n // n draws of n points, integrated as one
-    state of one row per draw; each draw keeps its own step control, so
-    every solver brings it to the endpoint it reaches alone, bit for bit.
-    Returns (terminal latent geometry, accepted steps): an int without `n`,
-    one count per draw with it.
+    Returns (terminal latent geometry, accepted steps).
     """
-    if z0.k != model.k:
-        raise ValueError("latent feature width mismatch")
-    size = z0.n if n is None else n
-    if size < 1 or z0.n % size:
-        raise ValueError("stacked rows are not a whole number of sets")
-    k, cut = z0.k, 3 * size
-
-    def pack(z):
-        return np.concatenate([z.coords.reshape(-1, cut), z.features.reshape(-1, size * k)],
-                              axis=1)
-
-    def unpack(y):
-        return LatentGeometry(len(y) * size, y[:, :cut].reshape(-1, 3),
-                              y[:, cut:].reshape(-1, k))
-
-    def f(t, y):
-        return pack(model.velocity(unpack(y), t, n=size))
-
-    y1, _, steps = integrate(f, pack(z0), solver)
-    return unpack(y1), (int(steps[0]) if n is None else steps)
-
-
-def _spawned(seed, count):
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(count)
-
-
-def _map_indexed(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return _solve_draws(model, [z0], solver)[0]
 
 
 # Most edges, b * n * (n - 1), in one stacked solve: bounds the edge arrays of
@@ -365,38 +353,59 @@ def _stacks(draws):
     return stacks
 
 
-def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed,
-               threads):
-    """(noise, ODE endpoint, accepted steps) for each of `count` draws, each
-    draw from its own child of `seed`, in draw order.
+def _solve_draws(model, draws, solver: SolverConfig, threads=1):
+    """(ODE endpoint, accepted steps) of each latent draw, in draw order.
 
-    Draws of one size are integrated as one stacked state, each with its
-    own step control; `threads` maps over the stacks.
+    The draws of one stack (`_stacks`) are integrated as one state of one
+    row per draw, [coords, features] flattened; `threads` maps over the
+    stacks.
     """
-    draws = []
-    for ss in _spawned(seed, count):
-        rng = np.random.default_rng(ss)
-        draws.append(sample_noise(size_sampler.sample(rng), model.k, rng))
+    k = model.k
+    if any(z.k != k for z in draws):
+        raise ValueError("latent feature width mismatch")
 
     def solve(idx):
         n = draws[idx[0]].n
-        z0 = LatentGeometry(
-            n * len(idx),
-            np.concatenate([draws[i].coords for i in idx]),
-            np.concatenate([draws[i].features for i in idx]),
-        )
-        z1, steps = sample_ode(model, z0, solver, n)
-        return [
-            (i, LatentGeometry(n, z1.coords[s * n : (s + 1) * n],
-                               z1.features[s * n : (s + 1) * n]), int(steps[s]))
-            for s, i in enumerate(idx)
-        ]
+        cut = 3 * n
 
-    out = [None] * count
-    for solved in _map_indexed(solve, _stacks(draws), threads):
-        for i, z1, steps in solved:
-            out[i] = (draws[i], z1, steps)
+        def unpack(y):
+            return LatentGeometry(len(y) * n, y[:, :cut].reshape(-1, 3),
+                                  y[:, cut:].reshape(-1, k))
+
+        def f(t, y):
+            v = model.velocity(unpack(y), t, n=n)
+            return np.concatenate([v.coords.reshape(-1, cut), v.features.reshape(-1, n * k)],
+                                  axis=1)
+
+        y0 = np.stack([np.concatenate([draws[i].coords.ravel(), draws[i].features.ravel()])
+                       for i in idx])
+        y1, _, steps = integrate(f, y0, solver)
+        return [(i, unpack(y1[s : s + 1]), int(steps[s])) for s, i in enumerate(idx)]
+
+    if threads <= 1:
+        solved = map(solve, _stacks(draws))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            solved = list(pool.map(solve, _stacks(draws)))
+    out = [None] * len(draws)
+    for stack in solved:
+        for i, z1, steps in stack:
+            out[i] = (z1, steps)
     return out
+
+
+def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed,
+               threads):
+    """(noise, ODE endpoint, accepted steps) for each of `count` draws, each
+    draw from its own child of `seed`, in draw order."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    draws = []
+    for ss in seed.spawn(count):
+        rng = np.random.default_rng(ss)
+        draws.append(sample_noise(size_sampler.sample(rng), model.k, rng))
+    return [(z0, *solved) for z0, solved in
+            zip(draws, _solve_draws(model, draws, solver, threads))]
 
 
 def generate(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed, threads=1):
@@ -442,9 +451,7 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     set); with purify on, every returned pair decoded to a geometry the
     predicate accepted.
     """
-    if "size_hist" not in model.meta:
-        raise ValueError("model has no size histogram; train it first")
-    sampler = SizeSampler.from_histogram(model.meta["size_hist"])
+    sampler = SizeSampler.from_meta(model.meta)
     count = config.reflow_pairs
     if count is None:
         count = 10 * int(model.meta.get("train_size", 100))

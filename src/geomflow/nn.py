@@ -13,8 +13,9 @@ Two floating-point disciplines matter here:
   therefore permutes the outputs bit-exactly (one gemm over all rows does
   not have that property: BLAS blocks rows). Backward passes use plain BLAS
   since gradients only need to be mathematically exact.
-* Sums over neighbours and set means are taken in sorted order, which makes
-  the reduction independent of how the points were enumerated.
+* Sums over neighbours and set means run through one sorted per-set sum
+  (`_set_sums`), which makes the reduction independent of how the points
+  were enumerated.
 
 Backward passes read a tape that the caller owns. A forward pass given a
 list as `tape` appends the records its backward needs; the matching backward
@@ -26,6 +27,7 @@ back in any order. No pass stores state on the model or its blocks.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,20 +85,23 @@ def _edges(n: int, b: int):
     return out
 
 
-def _reduce_i(vals, n):
-    """Sum edge values per source node, summands in sorted (canonical) order."""
-    return np.sort(vals.reshape(-1, n - 1, vals.shape[1]), axis=1).sum(axis=1)
-
-
-def _reduce_j(vals, n, jmaj):
-    """Sum edge values per neighbour node, summands in sorted order."""
-    return np.sort(vals[jmaj].reshape(-1, n - 1, vals.shape[1]), axis=1).sum(axis=1)
+def _set_sums(vals, size):
+    """Sum each run of `size` consecutive rows, summands in sorted order, so
+    the sum does not depend on how a run's rows were enumerated."""
+    return np.sort(vals.reshape(-1, size, vals.shape[1]), axis=1).sum(axis=1)
 
 
 def _center_sets(vals, n):
-    """Subtract from each set of n rows its mean, summed in sorted order."""
-    sets = vals.reshape(-1, n, vals.shape[1])
-    return (sets - np.sort(sets, axis=1).sum(axis=1, keepdims=True) / n).reshape(vals.shape)
+    """Subtract from each set of n rows its mean."""
+    return vals - np.repeat(_set_sums(vals, n) / n, n, axis=0)
+
+
+def _check_sizes(**sizes):
+    """The range rule of the model's sizes (and of other counts that must
+    be at least 1): raises ValueError naming the first one below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 class DenseNet:
@@ -178,9 +183,9 @@ class EquivariantLayer:
         self.coord_scale = coord_scale
         self.edge_net = DenseNet([2 * width + 1, width, width], rng)
         self.coord_net = DenseNet([width, width, 1], rng)
-        # Small initial coordinate updates keep freshly initialized models
-        # integrable; compounding O(1) updates across layers produces
-        # superlinear fields the adaptive solver cannot finish.
+        # Scales the initial coordinate updates down tenfold. This does not
+        # make fresh models integrable at the CLI's widths: their features
+        # grow with n through the summed messages (ROADMAP, open item 1).
         self.coord_net.weights[-1] *= 0.1
         self.node_net = DenseNet([2 * width, width, width], rng)
 
@@ -201,9 +206,9 @@ class EquivariantLayer:
             e_in = np.concatenate([h[i_idx], h[j_idx], d2], axis=1)
             m = self.edge_net.forward(e_in, tape)
             w = self.coord_net.forward(m, tape)
-            delta = _reduce_i(diff * w, n) * (self.coord_scale / (n - 1))
+            delta = _set_sums(diff * w, n - 1) * (self.coord_scale / (n - 1))
             x_out = x + _center_sets(delta, n)
-            agg = _reduce_i(m, n)
+            agg = _set_sums(m, n - 1)
             h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), tape)
         if tape is not None:
             tape.append((diff, w, n, b))
@@ -228,10 +233,10 @@ class EquivariantLayer:
             de_in = self.edge_net.backward(dm, tape)
             dd2 = de_in[:, 2 * width :]
             ddiff = ddiff + 2.0 * diff * dd2
-            dh += _reduce_i(de_in[:, :width], n) + _reduce_j(
-                de_in[:, width : 2 * width], n, jmaj
+            dh += _set_sums(de_in[:, :width], n - 1) + _set_sums(
+                de_in[jmaj, width : 2 * width], n - 1
             )
-            dx += _reduce_i(ddiff, n) - _reduce_j(ddiff, n, jmaj)
+            dx += _set_sums(ddiff, n - 1) - _set_sums(ddiff[jmaj], n - 1)
         return dx, dh
 
     def sub_nets(self):
@@ -241,6 +246,9 @@ class EquivariantLayer:
 class VectorFieldModel:
     """Velocity field plus equivariant encoder/decoder.
 
+    The constructor's arguments but `d` and `seed` are the architecture
+    record (`ARCH_DEFAULTS`), which checkpoints store and training configs
+    carry.
     With `identity_latent` the encoder/decoder are the identity (latent
     width k equals the data feature width d) and carry no parameters. Time
     enters the velocity net as one extra invariant scalar feature per point.
@@ -257,15 +265,15 @@ class VectorFieldModel:
         coord_scale=1.0,
         seed=0,
     ):
-        if d < 1 or k < 1 or hidden < 1 or flow_layers < 1 or decoder_layers < 1:
-            raise ValueError("model sizes must be positive")
+        _check_sizes(d=d, k=k, hidden=hidden, flow_layers=flow_layers,
+                     decoder_layers=decoder_layers)
         if identity_latent:
             k = d
         self.d = d
         self.k = k
         self.hidden = hidden
-        self.n_flow_layers = flow_layers
-        self.n_decoder_layers = decoder_layers
+        self.flow_layers = flow_layers
+        self.decoder_layers = decoder_layers
         self.identity_latent = identity_latent
         self.coord_scale = coord_scale
         self.meta: dict = {}
@@ -321,10 +329,7 @@ class VectorFieldModel:
         return sum(p.size for p in self.parameters())
 
     def get_flat(self) -> np.ndarray:
-        params = self.parameters()
-        if not params:
-            return np.zeros(0)
-        return np.concatenate([p.ravel() for p in params])
+        return np.concatenate([p.ravel() for p in self.parameters()])
 
     def set_flat(self, vec):
         vec = np.asarray(vec, dtype=np.float64)
@@ -336,16 +341,9 @@ class VectorFieldModel:
             raise ValueError("parameter vector size mismatch")
 
     def arch_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "hidden": self.hidden,
-            "flow_layers": self.n_flow_layers,
-            "decoder_layers": self.n_decoder_layers,
-            "identity_latent": self.identity_latent,
-            "coord_scale": self.coord_scale,
-            "meta": self.meta,
-        }
+        """`d`, the architecture record (with the effective `k`), `meta`."""
+        return {"d": self.d, **{name: getattr(self, name) for name in ARCH_DEFAULTS},
+                "meta": self.meta}
 
     @classmethod
     def from_arch(cls, arch: dict) -> "VectorFieldModel":
@@ -420,6 +418,16 @@ class VectorFieldModel:
             raise RuntimeError("identity-latent model has no autoencoder")
         dzx, dzh = self._backward("dec", dx_rec, dlogits, tape)
         return self._backward("enc", dzx, dzh, tape)[0]
+
+
+# The architecture record: VectorFieldModel's arguments but `d` (the data's
+# feature width) and `seed`, with their defaults, in the key order of a
+# checkpoint's "arch" object. Training configs carry these fields.
+ARCH_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(VectorFieldModel).parameters.items()
+    if name not in ("d", "seed")
+}
 
 
 def forward(model: VectorFieldModel, z: LatentGeometry, t: float, tape=None):

@@ -20,6 +20,7 @@ from geomflow.flow import (
     CouplingPair,
     SizeSampler,
     TrainConfig,
+    _solve_draws,
     align_pair,
     estimate_couplings,
     fm_loss,
@@ -27,7 +28,6 @@ from geomflow.flow import (
     random_couplings,
     reflow,
     sample_noise,
-    sample_ode,
     train,
 )
 from geomflow.geometry import LatentGeometry, random_rotation, rotation_from_rng
@@ -377,22 +377,13 @@ def test_c11_ode_solver_correctness(trained):
         draws.append(sample_noise(sampler.sample(srng), trained.k, srng))
     # The draws of one size are solved as one stacked state, by both solvers:
     # each draw reaches its solo endpoint bit for bit.
-    refs, adps = {}, {}
-    for n in sorted({z.n for z in draws}):
-        idx = [i for i, z in enumerate(draws) if z.n == n]
-        stacked = LatentGeometry(
-            n * len(idx),
-            np.concatenate([draws[i].coords for i in idx]),
-            np.concatenate([draws[i].features for i in idx]),
-        )
-        zr, _ = sample_ode(trained, stacked, reference, n)
-        za, _ = sample_ode(trained, stacked, adaptive, n)
-        for s, i in enumerate(idx):
-            rows = slice(s * n, (s + 1) * n)
-            refs[i] = np.concatenate([zr.coords[rows].ravel(), zr.features[rows].ravel()])
-            adps[i] = np.concatenate([za.coords[rows].ravel(), za.features[rows].ravel()])
-    for seed in range(len(draws)):
-        ref_vec, adp_vec = refs[seed], adps[seed]
+    def flat(z):
+        return np.concatenate([z.coords.ravel(), z.features.ravel()])
+
+    refs = _solve_draws(trained, draws, reference)
+    adps = _solve_draws(trained, draws, adaptive)
+    for seed, ((zr, _), (za, _)) in enumerate(zip(refs, adps)):
+        ref_vec, adp_vec = flat(zr), flat(za)
         err = float(np.linalg.norm(adp_vec - ref_vec))
         bound = 10.0 * max(adaptive.rtol * float(np.linalg.norm(ref_vec)), adaptive.atol)
         assert err <= bound, f"seed {seed}: {err} > {bound}"

@@ -167,6 +167,21 @@ class TestExitCodes:
         assert run("sample", "--ckpt", path, "--count", 2, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "meta", [{"rule": {"bogus": 1}}, {"size_hist": [5]}, {"size_hist": {"5": -1}}],
+        ids=["unknown-rule-key", "list-hist", "negative-count"],
+    )
+    def test_malformed_checkpoint_meta_is_data_error(self, tmp_path, capsys, meta):
+        model = nn.VectorFieldModel(d=3, k=3, hidden=4, flow_layers=1,
+                                    identity_latent=True, seed=0)
+        model.meta = {"size_hist": {"3": 1}, **meta}
+        path = tmp_path / "bad.gflow.ckpt"
+        data.save_checkpoint(path, model)
+        out = tmp_path / "gen.geoms.jsonl"
+        assert run("sample", "--ckpt", path, "--count", 2, "--out", out) == 2
+        assert "bad architecture record" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["solver", "fixed_steps", "reflow_rounds"])
     def test_removed_config_key_is_usage_error(self, tmp_path, capsys, key):
         bad = tmp_path / "bad.json"
@@ -233,12 +248,21 @@ class TestConfigChecks:
             '{"estimate_solver": "midpoint"}',
             '{"min_pair_dist": 5.0}',
             '{"onehot_margin": 0}',
+            '{"k": 0}',
+            '{"hidden": 0}',
+            '{"flow_layers": 0}',
+            '{"decoder_layers": 0}',
+            '{"omt_iters": 0}',
+            '{"omt_restarts": -1}',
+            '{"reflow_epochs": -3}',
         ],
         ids=[
             "string-for-int", "float-for-int", "bool-for-int", "bare-number",
             "array", "nan-lr", "nan-rtol", "infinite-max-radius", "lambda-range",
             "int-for-bool", "float-for-null", "int-for-string", "unknown-method",
-            "rule-order", "rule-margin-range",
+            "rule-order", "rule-margin-range", "zero-k", "zero-hidden",
+            "zero-flow-layers", "zero-decoder-layers", "zero-omt-iters",
+            "negative-omt-restarts", "negative-reflow-epochs",
         ],
     )
     def test_bad_config_is_usage_error_before_work(self, tmp_path, capsys, text):
@@ -463,6 +487,40 @@ class TestFlagChecks:
         assert re.search(r"^solver error: solver budget exceeded at t=.* after 1 attempts$",
                          capsys.readouterr().err, re.MULTILINE)
         assert not out.exists()
+
+
+class TestShuffledBaseline:
+    @staticmethod
+    def pairs(sizes):
+        return flow.CouplingSet([
+            flow.CouplingPair(flow.sample_noise(n, 2, 2 * i), flow.sample_noise(n, 2, 2 * i + 1),
+                              source="estimated")
+            for i, n in enumerate(sizes)
+        ])
+
+    def test_sizes_with_one_pair_are_left_out(self):
+        cset = self.pairs([5, 6, 6, 7])
+        base = cli._shuffled_baseline(cset)
+        assert len(base) == 2
+        assert base[0].z0 is cset[1].z0 and base[0].z1 is cset[2].z1
+        assert base[1].z0 is cset[2].z0 and base[1].z1 is cset[1].z1
+        assert all(p.source == "random" for p in base)
+
+    def test_no_size_with_two_pairs_is_empty(self):
+        assert len(cli._shuffled_baseline(self.pairs([4, 5, 6]))) == 0
+
+    def test_reflow_without_data_prints_no_baseline_for_one_pair(
+        self, tmp_path, spec_file, config_file, capsys
+    ):
+        ds = tmp_path / "ds.geoms.jsonl"
+        ckpt = tmp_path / "m.gflow.ckpt"
+        run("gendata", "--spec", spec_file, "--count", 20, "--out", ds)
+        assert run("train", "--data", ds, "--config", config_file, "--out", ckpt) == 0
+        capsys.readouterr()
+        assert run("reflow", "--ckpt", ckpt, "--pairs", 1, "--purify", "off",
+                   "--config", config_file, "--out", tmp_path / "m2.gflow.ckpt") == 0
+        assert re.search(r"^round 1: estimated-coupling cost [0-9.]+ vs random-coupling "
+                         r"cost n/a \(1 pairs", capsys.readouterr().out, re.MULTILINE)
 
 
 class TestGendataSpecChecks:

@@ -18,6 +18,8 @@ from geomflow.data import (
     load_geometries,
     load_pairs,
     make_dataset,
+    METRICS_FIELDS,
+    RunMetrics,
     append_metrics,
     read_metrics,
     save_checkpoint,
@@ -322,6 +324,29 @@ class TestMalformedHeaders:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "meta",
+        [{"rule": {"bogus": 1}}, {"rule": {"min_pair_dist": "x"}}, {"rule": 3},
+         {"rule": {"min_pair_dist": 5.0}}, {"size_hist": [5]}, {"size_hist": {"5": -1}},
+         {"size_hist": {"5": 0.5}}, {"size_hist": {"a": 1}}, {"size_hist": {}}],
+        ids=["unknown-rule-key", "string-rule-value", "number-rule", "rule-range",
+             "list-hist", "negative-count", "float-count", "non-numeric-size", "empty-hist"],
+    )
+    def test_malformed_meta_record(self, tmp_path, meta):
+        model = VectorFieldModel(d=3, k=2, hidden=4, flow_layers=1, seed=0)
+        model.meta = meta
+        path = tmp_path / "m.gflow.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(MalformedFileError, match="bad architecture record"):
+            load_checkpoint(path)
+
+    def test_well_formed_meta_records_load(self, tmp_path):
+        model = VectorFieldModel(d=3, k=2, hidden=4, flow_layers=1, seed=0)
+        model.meta = {"size_hist": {"4": 2, "6": 1}, "rule": {"max_radius": 3.0}}
+        path = tmp_path / "m.gflow.ckpt"
+        save_checkpoint(path, model)
+        assert load_checkpoint(path).meta == model.meta
+
     def test_huge_point_count_is_truncation(self, tmp_path):
         path = tmp_path / "c.pairs.bin"
         save_pairs(path, CouplingSet([CouplingPair(sample_noise(4, 2, 0),
@@ -430,6 +455,22 @@ class TestMetrics:
         assert float(rows[0]["mean_steps"]) == 12.5
         assert rows[1]["distribution_cost"] == "3.25"
         assert rows[0]["distribution_cost"] == ""
+
+    def test_header_is_run_metrics_field_order(self, tmp_path):
+        assert METRICS_FIELDS == [
+            "phase", "distribution_cost", "per_atom_cost", "mean_steps", "median_steps",
+            "validity_rate", "wall_seconds", "seed", "config_hash"]
+        path = tmp_path / "metrics.csv"
+        append_metrics(path, RunMetrics(phase="sample", seed=2, config_hash="h",
+                                        mean_steps=3.5).as_row())
+        assert path.read_text().splitlines() == [
+            ",".join(METRICS_FIELDS), "sample,,,3.5,,,,2,h"]
+
+    def test_run_metrics_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            RunMetrics("sample", 1, "h")
+        with pytest.raises(ValueError, match="validity_rate"):
+            RunMetrics(phase="sample", seed=1, config_hash="h", validity_rate=1.5)
 
     def test_rejects_unknown_field(self, tmp_path):
         with pytest.raises(ValueError, match="unknown metrics fields"):

@@ -23,7 +23,7 @@ from geomflow.flow import (
     train,
 )
 from geomflow.geometry import LatentGeometry
-from geomflow.nn import AdamState, VectorFieldModel, adam_step, decode, forward
+from geomflow.nn import ARCH_DEFAULTS, AdamState, VectorFieldModel, adam_step, decode, forward
 from geomflow.ode import SolverConfig, integrate
 
 
@@ -223,6 +223,19 @@ class TestSampleOde:
         np.testing.assert_array_equal(z1.features, z0.features)
         assert steps == 4
 
+    @pytest.mark.parametrize("method", ["euler", "rk4", "adaptive"])
+    def test_returns_one_geometry_and_an_int_step_count(self, method):
+        model = mixed_sizes_model()
+        z0 = sample_noise(5, model.k, 3)
+        z1, steps = sample_ode(model, z0, SolverConfig(method, fixed_steps=3))
+        assert isinstance(z1, LatentGeometry) and (z1.n, z1.k) == (5, model.k)
+        assert type(steps) is int and steps >= 1
+
+    def test_rejects_a_draw_of_another_latent_width(self):
+        model = mixed_sizes_model()
+        with pytest.raises(ValueError, match="latent feature width mismatch"):
+            sample_ode(model, sample_noise(4, model.k + 1, 0), SolverConfig("euler"))
+
     def test_terminal_state_zero_com(self):
         ds = tiny_dataset(24)
         model, _ = train(ds, tiny_config(epochs=1))
@@ -361,6 +374,50 @@ class TestSizeSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SizeSampler.from_histogram({})
+
+    @pytest.mark.parametrize(
+        "hist",
+        [[5], {"5": -1}, {"5": 0}, {"5": 1.5}, {"5": True}, {"5": "2"}, {"x": 1},
+         {"0": 1}, {"5": 1, "05": 2}],
+        ids=["list", "negative-count", "zero-count", "float-count", "bool-count",
+             "string-count", "non-numeric-size", "zero-size", "repeated-size"],
+    )
+    def test_rejects_malformed_histograms(self, hist):
+        with pytest.raises(ValueError):
+            SizeSampler.from_histogram(hist)
+
+    def test_from_meta_reads_the_stored_histogram(self):
+        assert SizeSampler.from_meta({"size_hist": {"6": 1, "4": 3}}) == SizeSampler(
+            (4, 6), (0.75, 0.25))
+        with pytest.raises(ValueError, match="no size histogram"):
+            SizeSampler.from_meta({})
+
+
+class TestArchitectureRecord:
+    def test_train_config_defaults_are_the_model_defaults(self):
+        conf = TrainConfig()
+        assert {name: getattr(conf, name) for name in ARCH_DEFAULTS} == ARCH_DEFAULTS
+
+    def test_arch_dict_key_order_is_the_checkpoint_order(self):
+        arch = VectorFieldModel(d=3, hidden=4, flow_layers=1, seed=0).arch_dict()
+        assert list(arch) == ["d", "k", "hidden", "flow_layers", "decoder_layers",
+                              "identity_latent", "coord_scale", "meta"]
+
+    def test_train_builds_the_configured_architecture(self):
+        conf = tiny_config(epochs=1, hidden=6, flow_layers=2, coord_scale=0.5)
+        model, _ = train(tiny_dataset(8), conf)
+        arch = model.arch_dict()
+        assert {name: arch[name] for name in ARCH_DEFAULTS} == {
+            name: getattr(conf, name) for name in ARCH_DEFAULTS}
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"k": 0}, {"hidden": 0}, {"flow_layers": 0}, {"decoder_layers": -1},
+         {"omt_iters": 0}, {"omt_restarts": 0}, {"reflow_epochs": -3}],
+    )
+    def test_train_config_rejects_out_of_range_counts(self, over):
+        with pytest.raises(ValueError, match=">= "):
+            TrainConfig(**over)
 
 
 class TestReflow:

@@ -11,6 +11,7 @@ from geomflow.nn import (
     VectorFieldModel,
     _center_sets,
     _rowwise_matmul,
+    _set_sums,
     adam_step,
     backward,
     decode,
@@ -262,6 +263,23 @@ class TestBackward:
         numeric = np.array(numeric)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
         assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+
+
+class TestSetSums:
+    def test_sums_each_run_independent_of_row_order(self):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((12, 5)) * 10.0 ** rng.integers(-8, 8, (12, 5))
+        sums = _set_sums(vals, 4)
+        assert sums.shape == (3, 5)
+        np.testing.assert_allclose(sums, vals.reshape(3, 4, 5).sum(axis=1), rtol=1e-12)
+        shuffled = np.concatenate([vals[4 * s + rng.permutation(4)] for s in range(3)])
+        assert np.array_equal(_set_sums(shuffled, 4), sums)
+
+    def test_center_sets_subtracts_each_sets_mean(self):
+        vals = np.random.default_rng(5).standard_normal((9, 3))
+        centered = _center_sets(vals, 3)
+        assert np.abs(centered.reshape(3, 3, 3).mean(axis=1)).max() <= 1e-15
+        assert np.array_equal(centered[:3], _center_sets(vals[:3], 3))
 
 
 class TestEncodeDecode:
