@@ -62,7 +62,10 @@ def rule_from(cfg: dict) -> data.ValidityRule:
 
 
 def _same_kind(value, default) -> bool:
-    """Whether `value` has the JSON kind of the config default `default`."""
+    """Whether `value` has the JSON kind of the default `default`; a tuple
+    default asks for a list of values of its first item's kind."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
@@ -70,6 +73,15 @@ def _same_kind(value, default) -> bool:
     if default is None:
         return value is None or isinstance(value, int)
     return isinstance(value, type(default))
+
+
+def _check_kinds(obj: dict, defaults: dict, what: str):
+    """A UsageError naming the first key of `obj` whose value is not of the
+    kind of its default; keys without a default are left to the caller."""
+    for key, value in obj.items():
+        if key in defaults and not _same_kind(value, defaults[key]):
+            raise UsageError(f"{what} key {key!r} has value {value!r}, "
+                             f"not of the kind of its default {defaults[key]!r}")
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -94,12 +106,7 @@ def load_config(path, seed=None) -> dict:
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in user.items():
-            if not _same_kind(value, DEFAULT_CONFIG[key]):
-                raise UsageError(
-                    f"config key {key!r} has value {value!r}, "
-                    f"not of the kind of its default {DEFAULT_CONFIG[key]!r}"
-                )
+        _check_kinds(user, DEFAULT_CONFIG, "config")
         cfg.update(user)
     if seed is not None:
         cfg["seed"] = seed
@@ -124,6 +131,10 @@ def config_hash(cfg: dict) -> str:
 def cmd_gendata(args) -> int:
     raw = _read_json_object(args.spec, "template spec")
     rule_dict = raw.pop("rule", None)
+    if rule_dict is not None and not isinstance(rule_dict, dict):
+        raise UsageError(f"template spec key 'rule' must be a JSON object, got {rule_dict!r}")
+    _check_kinds(raw, asdict(data.TemplateSpec()), "template spec")
+    _check_kinds(rule_dict or {}, asdict(data.ValidityRule()), "template spec rule")
     try:
         spec = data.TemplateSpec(**raw)
         if args.seed is not None:
@@ -422,7 +433,14 @@ def suite_flow():
     c = rng.standard_normal(12)
     y0 = rng.standard_normal(12)
     y1, _ = ode.integrate(lambda t, y: c, y0, ode.SolverConfig("euler", fixed_steps=7))
-    _check(checks, "euler-constant-field-exact", np.array_equal(y1, y0 + c), "")
+    # Seven rounded steps of h = 1/7 need not sum to y0 + c exactly; they
+    # must equal the same seven steps taken by hand, bit for bit.
+    y = y0
+    for _ in range(7):
+        y = y + (1 / 7) * c
+    dev = float(np.abs(y1 - (y0 + c)).max())
+    _check(checks, "euler-constant-field-exact", np.array_equal(y1, y) and dev <= 1e-14,
+           f"bitwise, max dev from y0 + c {dev:.1e}")
 
     a = 0.6
     y1, _ = ode.integrate(
@@ -524,7 +542,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", required=True, help="TemplateSpec JSON file")
     p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_gendata)
 
     p = sub.add_parser("train", help="train the flow model")
@@ -532,7 +550,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="flat JSON config")
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reflow", help="estimate/purify couplings and fine-tune")
@@ -546,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None, help="dataset for the random-coupling baseline")
     p.add_argument("--metrics", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_reflow)
 
@@ -562,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--init-step", type=float, default=solver.init_step)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_sample)
 

@@ -83,6 +83,8 @@ class TemplateSpec:
             raise ValueError("scales must be positive")
         if self.feature_classes < 1:
             raise ValueError("need at least one feature class")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,18 @@ def _read_header(f, path, what, version) -> dict:
     return header
 
 
+def _check_meta_numbers(meta: dict):
+    """The meta fields that reflow reads as numbers, where present: a
+    positive integer `train_size` and a finite non-negative `sigma0`."""
+    size = meta.get("train_size", 1)
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise ValueError(f"meta 'train_size' must be a positive integer, got {size!r}")
+    sigma0 = meta.get("sigma0", 0.0)
+    if (isinstance(sigma0, bool) or not isinstance(sigma0, (int, float))
+            or not (math.isfinite(sigma0) and sigma0 >= 0)):
+        raise ValueError(f"meta 'sigma0' must be a finite number >= 0, got {sigma0!r}")
+
+
 def load_checkpoint(path) -> VectorFieldModel:
     with open(path, "rb") as f:
         header = _read_header(f, path, "checkpoint", CKPT_VERSION)
@@ -302,6 +316,7 @@ def load_checkpoint(path) -> VectorFieldModel:
             if "size_hist" in model.meta:
                 SizeSampler.from_meta(model.meta)
             ValidityRule.from_meta(model.meta)
+            _check_meta_numbers(model.meta)
         except (TypeError, ValueError) as e:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
         if header.get("param_count") != model.param_count:

@@ -1,12 +1,13 @@
 """Straight-path flow matching on aligned couplings, plus reflow.
 
-Training (per step): encode a data geometry, sample matching noise, align
-the encoded target onto the noise with the joint rotation/permutation
-solver, draw t uniformly, and regress the velocity net onto the straight
-path target z1_hat - z0. Sampling integrates dz/dt = v(z, t) from 0 to 1.
+Training (per step): draw the encoded data geometry and matching noise
+(`_draw_pair`), align the target onto the noise with the joint
+rotation/permutation solver (`align_pair`), draw t uniformly, and regress
+the velocity net onto the straight path target z1_hat - z0
+(`_velocity_regression`). Sampling integrates dz/dt = v(z, t) from 0 to 1.
 Reflow re-pairs each noise sample with the ODE endpoint it generates,
 optionally filters the decoded endpoints through a validity predicate
-(purification), re-aligns, and fine-tunes on the new coupling.
+(purification), and re-aligns and fine-tunes through the same two steps.
 
 Every ODE solve runs through `_solve_draws`: the draws of one size are
 integrated as one stacked state of one row per draw, each row with its own
@@ -139,6 +140,8 @@ class TrainConfig:
             raise ValueError("lr, sigma0 and coord_scale must be finite")
         if self.reflow_pairs is not None and self.reflow_pairs < 1:
             raise ValueError("reflow_pairs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,10 +212,19 @@ def align_pair(pair: CouplingPair, lam=LAMBDA, max_iters=SINGLE_PASS.max_iters,
     return replace(pair, z1=sol.aligned_target, aligned=True), sol
 
 
-def _velocity_regression(model: VectorFieldModel, z0, z1t, t, backward=True):
-    """Mean-squared velocity regression against the straight-path target."""
-    zt = interpolate(z0, z1t, t)
-    ux, uh = z1t.coords - z0.coords, z1t.features - z0.features
+def _draw_pair(model: VectorFieldModel, g, sigma0, rng) -> CouplingPair:
+    """A random-coupling pair for `g`: its sigma0-noised encoding as the
+    target, then base noise of its size, drawn from `rng` in that order."""
+    z1 = encode(model, g, sigma0, rng)
+    return CouplingPair(sample_noise(g.n, model.k, rng), z1)
+
+
+def _velocity_regression(model: VectorFieldModel, pair: CouplingPair, t, backward=True):
+    """Mean-squared velocity regression against the pair's straight-path
+    target; with `backward`, accumulates its gradients on the model."""
+    z0, z1 = pair.z0, pair.z1
+    zt = interpolate(z0, z1, t)
+    ux, uh = z1.coords - z0.coords, z1.features - z0.features
     return float(_regression_loss(model, zt, t, ux, uh, [] if backward else None))
 
 
@@ -224,7 +236,7 @@ def fm_loss(model: VectorFieldModel, pair: CouplingPair, t: float, backward=True
     """
     if not pair.aligned:
         raise ValueError("pair must be OMT-aligned")
-    loss = _velocity_regression(model, pair.z0, pair.z1, t, backward=backward)
+    loss = _velocity_regression(model, pair, t, backward=backward)
     return loss, (model.gradients() if backward else None)
 
 
@@ -259,14 +271,10 @@ def train(dataset, config: TrainConfig):
         train_autoencoder(model, dataset, config, rng)
 
     def item_loss(g, rng):
-        z1 = encode(model, g, config.sigma0, rng)
-        z0 = sample_noise(g.n, model.k, rng)
+        pair = _draw_pair(model, g, config.sigma0, rng)
         if config.use_omt:
-            z1 = solve_omt(
-                z1, z0, config.lam,
-                max_iters=config.omt_iters, restarts=config.omt_restarts,
-            ).aligned_target
-        return _velocity_regression(model, z0, z1, float(rng.uniform()))
+            pair = align_pair(pair, config.lam, config.omt_iters, config.omt_restarts)[0]
+        return _velocity_regression(model, pair, float(rng.uniform()))
 
     losses = _fit(model, "flow", dataset, item_loss, config.epochs, config, rng)
     return model, losses
@@ -435,13 +443,8 @@ def random_couplings(model, dataset, count, seed) -> CouplingSet:
         raise ValueError("count must be >= 1")
     sigma0 = float(model.meta.get("sigma0", 0.0))
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        g = dataset[int(rng.integers(len(dataset)))]
-        z1 = encode(model, g, sigma0, rng)
-        z0 = sample_noise(g.n, model.k, rng)
-        pairs.append(CouplingPair(z0, z1, aligned=False, source="random"))
-    return CouplingSet(pairs)
+    return CouplingSet([_draw_pair(model, dataset[int(rng.integers(len(dataset)))],
+                                   sigma0, rng) for _ in range(count)])
 
 
 def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
@@ -473,6 +476,6 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, 0]))
     epochs = config.reflow_epochs if config.reflow_epochs is not None else config.epochs
     _fit(model, "flow", coupling,
-         lambda p, rng: _velocity_regression(model, p.z0, p.z1, float(rng.uniform())),
+         lambda p, rng: _velocity_regression(model, p, float(rng.uniform())),
          epochs, config, rng)
     return model, coupling

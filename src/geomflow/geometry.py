@@ -9,6 +9,7 @@ projection that removes the translational degree of freedom.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ def _check_point_set(g, kind: str):
     """Freeze a point set's arrays read-only and check their shapes and values."""
     object.__setattr__(g, "coords", _as_readonly(g.coords))
     object.__setattr__(g, "features", _as_readonly(g.features))
+    if isinstance(g.n, bool) or not isinstance(g.n, numbers.Integral):
+        raise ValueError(f"{kind} point count must be an integer, got {g.n!r}")
     if g.n < 1:
         raise ValueError(f"{kind} needs at least one point")
     if g.coords.shape != (g.n, 3):

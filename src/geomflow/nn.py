@@ -249,9 +249,12 @@ class VectorFieldModel:
     The constructor's arguments but `d` and `seed` are the architecture
     record (`ARCH_DEFAULTS`), which checkpoints store and training configs
     carry.
-    With `identity_latent` the encoder/decoder are the identity (latent
-    width k equals the data feature width d) and carry no parameters. Time
-    enters the velocity net as one extra invariant scalar feature per point.
+    `blocks` maps each net, "enc", "dec" and "flow", to its blocks in
+    forward order: an embed net, its equivariant layers and an out net.
+    With `identity_latent` the model has no "enc" or "dec" net: encoding
+    and decoding are the identity (latent width k equals the data feature
+    width d) and carry no parameters. Time enters the velocity net as one
+    extra invariant scalar feature per point.
     """
 
     def __init__(
@@ -279,40 +282,24 @@ class VectorFieldModel:
         self.meta: dict = {}
 
         rng = np.random.default_rng(seed)
-        if identity_latent:
-            self.enc_embed = self.enc_layer = self.enc_out = None
-            self.dec_embed = self.dec_out = None
-            self.dec_stack = []
-        else:
-            self.enc_embed = DenseNet([d, hidden], rng)
-            self.enc_layer = EquivariantLayer(hidden, rng, coord_scale)
-            self.enc_out = DenseNet([hidden, k], rng)
-            self.dec_embed = DenseNet([k, hidden], rng)
-            self.dec_stack = [
-                EquivariantLayer(hidden, rng, coord_scale)
-                for _ in range(decoder_layers)
-            ]
-            self.dec_out = DenseNet([hidden, d], rng)
-        self.flow_embed = DenseNet([k + 1, hidden], rng)
-        self.flow_stack = [
-            EquivariantLayer(hidden, rng, coord_scale) for _ in range(flow_layers)
-        ]
-        self.flow_out = DenseNet([hidden, k], rng)
+
+        def build(width_in, layers, width_out):
+            return [DenseNet([width_in, hidden], rng),
+                    *(EquivariantLayer(hidden, rng, coord_scale) for _ in range(layers)),
+                    DenseNet([hidden, width_out], rng)]
+
+        self.blocks = {} if identity_latent else {
+            "enc": build(d, 1, k), "dec": build(k, decoder_layers, d)}
+        self.blocks["flow"] = build(k + 1, flow_layers, k)
 
     # -- parameter plumbing -------------------------------------------------
-
-    def _blocks(self, net):
-        """The "enc", "dec" or "flow" net in forward order: an embed net, its
-        equivariant layers and an out net."""
-        stack = [self.enc_layer] if net == "enc" else getattr(self, f"{net}_stack")
-        return [getattr(self, f"{net}_embed"), *stack, getattr(self, f"{net}_out")]
 
     def _nets(self, group="all"):
         """Dense nets of `group` ("ae", "flow" or "all"), in checkpoint order."""
         if group not in _GROUPS:
             raise ValueError(f"unknown parameter group {group!r}")
-        nets = [net for net in _GROUPS[group] if net == "flow" or not self.identity_latent]
-        return [sub for net in nets for block in self._blocks(net) for sub in block.sub_nets()]
+        return [sub for net in _GROUPS[group] for block in self.blocks.get(net, ())
+                for sub in block.sub_nets()]
 
     def parameters(self, group="all"):
         return [p for net in self._nets(group) for p in net.params()]
@@ -356,8 +343,11 @@ class VectorFieldModel:
     # -- the one walk in each direction ---------------------------------------
 
     def _forward(self, net, x, h, tape, n=None):
-        """Coordinate and feature outputs of `net` on inputs (x, h)."""
-        embed, *stack, out = self._blocks(net)
+        """Coordinate and feature outputs of `net` on inputs (x, h); a net
+        the model lacks is the identity and returns copies of its inputs."""
+        if net not in self.blocks:
+            return np.array(x, dtype=np.float64), np.array(h, dtype=np.float64)
+        embed, *stack, out = self.blocks[net]
         h = embed.forward(h, tape)
         x = np.asarray(x, dtype=np.float64)
         for layer in stack:
@@ -366,7 +356,7 @@ class VectorFieldModel:
 
     def _backward(self, net, dx, dh, tape):
         """Pull output adjoints (dx, dh) of `net` back to its inputs."""
-        embed, *stack, out = self._blocks(net)
+        embed, *stack, out = self.blocks[net]
         dh = out.backward(dh, tape)
         for layer in reversed(stack):
             dx, dh = layer.backward(dx, dh, tape)
@@ -400,15 +390,9 @@ class VectorFieldModel:
     # -- autoencoder ---------------------------------------------------------
 
     def encode_means(self, x_centered, features, tape=None):
-        if self.identity_latent:
-            return np.array(x_centered, dtype=np.float64), np.array(
-                features, dtype=np.float64
-            )
         return self._forward("enc", x_centered, features, tape)
 
     def decode_arrays(self, zx, zh, tape=None):
-        if self.identity_latent:
-            return np.array(zx, dtype=np.float64), np.array(zh, dtype=np.float64)
         return self._forward("dec", zx, zh, tape)
 
     def ae_backward(self, dx_rec, dlogits, tape):

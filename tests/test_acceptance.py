@@ -231,11 +231,10 @@ def test_c05_equivariance_suite():
         assert np.array_equal(vp.coords, v.coords[perm])
         assert np.array_equal(vp.features, v.features[perm])
         # zero-CoM after every layer of the velocity stack
-        h = model.flow_embed.forward(
-            np.concatenate([z.features, np.full((n, 1), t)], axis=1)
-        )
+        embed, *stack, _ = model.blocks["flow"]
+        h = embed.forward(np.concatenate([z.features, np.full((n, 1), t)], axis=1))
         x = np.asarray(z.coords)
-        for layer in model.flow_stack:
+        for layer in stack:
             x, h = layer.forward(x, h)
             layer_com = max(layer_com, float(np.abs(x.mean(axis=0)).max()))
     assert rot_dev <= 1e-7

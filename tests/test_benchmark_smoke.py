@@ -27,3 +27,13 @@ def test_short_traced_run_is_correct(workload):
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, proc.stderr
     assert last["failed"] == 0, proc.stderr
+
+
+def test_benchmark_checker_tests_pass():
+    # benchmark/tests sits outside this suite's testpaths; its tracer test pins
+    # the span chain flow.align_pair -> alignment.solve_omt -> alignment.kabsch.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmark/tests"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -168,8 +168,10 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "meta", [{"rule": {"bogus": 1}}, {"size_hist": [5]}, {"size_hist": {"5": -1}}],
-        ids=["unknown-rule-key", "list-hist", "negative-count"],
+        "meta", [{"rule": {"bogus": 1}}, {"size_hist": [5]}, {"size_hist": {"5": -1}},
+                 {"train_size": "x"}, {"sigma0": "y"}],
+        ids=["unknown-rule-key", "list-hist", "negative-count", "string-train-size",
+             "string-sigma0"],
     )
     def test_malformed_checkpoint_meta_is_data_error(self, tmp_path, capsys, meta):
         model = nn.VectorFieldModel(d=3, k=3, hidden=4, flow_layers=1,
@@ -217,6 +219,12 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[nn] gradient-check: PASS" in out
 
+    def test_all_suites_pass(self, capsys):
+        assert run("selftest") == 0
+        out = capsys.readouterr().out
+        assert "[flow] euler-constant-field-exact: PASS" in out
+        assert "all self-test checks passed" in out
+
 
 class TestConfigHash:
     def test_stable_and_sensitive(self):
@@ -255,6 +263,7 @@ class TestConfigChecks:
             '{"omt_iters": 0}',
             '{"omt_restarts": -1}',
             '{"reflow_epochs": -3}',
+            '{"seed": -1}',
         ],
         ids=[
             "string-for-int", "float-for-int", "bool-for-int", "bare-number",
@@ -262,7 +271,7 @@ class TestConfigChecks:
             "int-for-bool", "float-for-null", "int-for-string", "unknown-method",
             "rule-order", "rule-margin-range", "zero-k", "zero-hidden",
             "zero-flow-layers", "zero-decoder-layers", "zero-omt-iters",
-            "negative-omt-restarts", "negative-reflow-epochs",
+            "negative-omt-restarts", "negative-reflow-epochs", "negative-seed",
         ],
     )
     def test_bad_config_is_usage_error_before_work(self, tmp_path, capsys, text):
@@ -417,6 +426,20 @@ class TestFlagChecks:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gendata", "--spec", "missing.json", "--count", "3", "--out", "out"],
+         ["train", "--data", "missing.jsonl", "--out", "out"],
+         ["reflow", "--ckpt", "missing.gflow.ckpt", "--out", "out"],
+         ["sample", "--ckpt", "missing.gflow.ckpt", "--count", "3", "--out", "out"]],
+        ids=["gendata", "train", "reflow", "sample"],
+    )
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if "missing" in a or a == "out" else a for a in argv]
+        assert run(*argv, "--seed", "-1") == 1
+        assert "usage error: argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("lam", ["2", "nan", "-0.5"])
     def test_bad_eval_lambda_is_usage_error(self, tmp_path, capsys, lam):
         code = run("eval", "--pairs", tmp_path / "missing.pairs.bin", "--lambda", lam)
@@ -534,9 +557,21 @@ class TestGendataSpecChecks:
             '{"rule": {"max_radius": -1.0}}',
             '{"num_templates": 0}',
             '{bad',
+            '{"feature_classes": 2.5}',
+            '{"num_templates": 1, "atoms_per_template": [5.5]}',
+            '{"seed": 1.5}',
+            '{"num_templates": 2.0, "atoms_per_template": [4, 5]}',
+            '{"jitter_sigma": NaN}',
+            '{"seed": -1}',
+            '{"rule": {"onehot_margin": true}}',
+            '{"rule": []}',
+            '{"rule": false}',
         ],
         ids=["bare-number", "array", "unknown-rule-key", "non-object-rule",
-             "rule-range", "spec-range", "invalid-json"],
+             "rule-range", "spec-range", "invalid-json", "float-classes",
+             "float-template-size", "float-seed", "float-for-int",
+             "nan-jitter", "negative-seed", "bool-rule-value", "empty-array-rule",
+             "false-rule"],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

@@ -171,6 +171,13 @@ class TestGeometryPersistence:
         with pytest.raises(MalformedFileError):
             load_geometries(path)
 
+    @pytest.mark.parametrize("n", ["1.0", "true"], ids=["float-n", "bool-n"])
+    def test_non_integer_point_count_rejected(self, tmp_path, n):
+        path = tmp_path / "bad.geoms.jsonl"
+        path.write_text(f'{{"n": {n}, "coords": [[0,0,0]], "features": [[1,0]]}}\n')
+        with pytest.raises(MalformedFileError, match="point count must be an integer"):
+            load_geometries(path)
+
 
 class TestCheckpointPersistence:
     def make_model(self):
@@ -222,6 +229,23 @@ class TestCheckpointPersistence:
         path.write_bytes(b"not json\n" + b"\x00" * 64)
         with pytest.raises(MalformedFileError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{"train_size": "x"}, {"train_size": 0}, {"train_size": 2.0}, {"train_size": True},
+         {"sigma0": "y"}, {"sigma0": -0.5}, {"sigma0": float("nan")}, {"sigma0": False}],
+        ids=["string-size", "zero-size", "float-size", "bool-size", "string-sigma0",
+             "negative-sigma0", "nan-sigma0", "bool-sigma0"],
+    )
+    def test_bad_meta_number_names_file_and_key(self, tmp_path, meta):
+        model = self.make_model()
+        model.meta.update(meta)
+        path = tmp_path / "m.gflow.ckpt"
+        save_checkpoint(path, model)
+        key = next(iter(meta))
+        with pytest.raises(MalformedFileError, match=key) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 class TestPairsPersistence:

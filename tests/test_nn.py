@@ -637,8 +637,8 @@ class TestTape:
     @pytest.mark.parametrize("make_pass", [_velocity_pass, _autoencoder_pass])
     def test_passes_leave_no_state_on_blocks(self, make_pass):
         model = self.model()
-        objects = [model, model.enc_layer, *model.dec_stack, *model.flow_stack,
-                   *model._nets()]
+        layers = [layer for blocks in model.blocks.values() for layer in blocks[1:-1]]
+        objects = [model, *layers, *model._nets()]
         before = [dict(vars(obj)) for obj in objects]
         fwd, bwd = make_pass(model, 63, 5)
         tape = []
