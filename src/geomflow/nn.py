@@ -5,17 +5,21 @@ layer on the fully connected point graph, the velocity model v(z, t), and
 the equivariant encoder/decoder. Every backward pass is coded analytically
 and checked against central finite differences (`grad_check`).
 
-Two floating-point disciplines matter here:
-
-* Forward matmuls run one (1, K) @ (K, N) product per row, so a row's
-  output bits depend on that row alone: not on its position, on the other
-  rows, or on how many rows are stacked. Permuting the input points
-  therefore permutes the outputs bit-exactly (one gemm over all rows does
-  not have that property: BLAS blocks rows). Backward passes use plain BLAS
-  since gradients only need to be mathematically exact.
-* Sums over neighbours and set means run through one sorted per-set sum
-  (`_set_sums`), which makes the reduction independent of how the points
-  were enumerated.
+One floating-point discipline makes permutation equivariance bit-exact.
+Every pass puts each set's rows into one canonical order, once
+(`_canonical_order`: by the bit patterns of the input columns), runs the
+whole net on them in that order and scatters the outputs back to the
+caller's order. Two inputs whose rows are a permutation of each other
+gather to the same array, so permuting the input points permutes every
+output bit-for-bit. Rows that tie in the sort are bitwise identical, but
+BLAS may round them differently at different positions of one product, so
+each takes the outputs of the first row of its run. Inside a pass, each
+forward product is one BLAS product per set (`_set_matmul`), whose bits
+depend on that set's rows alone, not on the sets stacked with it; neighbour
+sums and set means add rows in canonical order. Backward passes use plain
+BLAS over all rows, since gradients only need to be mathematically exact.
+Only where rows arrive in the caller's order, in the centring of `encode`
+and `decode`, are set sums taken in sorted order (`_set_sums`).
 
 Backward passes read a tape that the caller owns. A forward pass given a
 list as `tape` appends the records its backward needs; the matching backward
@@ -39,9 +43,16 @@ _GROUPS = {"all": ("enc", "dec", "flow"), "ae": ("enc", "dec"), "flow": ("flow",
 
 
 def sigmoid(z):
-    # exp(-|z|) never overflows; the two branches of the logistic share it.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # exp(-|z|) never overflows; the two branches of the logistic share it:
+    # 1 / (1 + e) for z >= 0, e / (1 + e) below. Since e <= 1, the numerator
+    # max(z >= 0, e) is 1 or e on those branches, and it keeps a NaN.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.greater_equal(z, 0.0).astype(np.float64)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def silu(z):
@@ -60,11 +71,52 @@ def _pop(tape):
     return tape.pop()
 
 
-def _rowwise_matmul(a, w):
-    # a @ w.T as a stack of one-row products: every row runs the same
-    # (1, K) @ (K, N) call, so its bits cannot depend on its position or on
-    # the stack height; required for exact permutation equivariance.
-    return np.matmul(a[:, None, :], w.T)[:, 0, :]
+def _set_matmul(a, w, sets):
+    """a @ w.T as one BLAS product per set, for a C-contiguous, aligned `a`
+    that stacks `sets` equal runs of rows: a set's bits are those of the
+    same product on that set alone, at any stack position or height."""
+    return np.matmul(a.reshape(sets, -1, a.shape[1]), w.T).reshape(len(a), -1)
+
+
+def _canonical_order(n, x, h):
+    """Gather index that puts each of the stacked sets of n rows into one
+    canonical order (by set, then by the int64 bit patterns of the columns of
+    x and then of h), and for each canonical position the first position of
+    its run of tied, bitwise identical, rows."""
+    bits = np.concatenate([x, h], axis=1).view(np.int64)
+    order = np.lexsort((*bits.T[::-1], np.arange(len(bits)) // n))
+    bits = bits[order]
+    pos = np.arange(len(bits))
+    tied = (bits[1:] == bits[:-1]).all(axis=1) & (pos[1:] % n != 0)
+    return order, np.maximum.accumulate(np.where(np.r_[True, ~tied], pos, 0))
+
+
+def _scatter(vals, order):
+    """Rows gathered by `order` put back in the order they were gathered from."""
+    out = np.empty_like(vals)
+    out[order] = vals
+    return out
+
+
+def _canonical(step, n, x, h, tape):
+    """`step(x, h, tape)` run on the rows gathered into canonical order, its
+    outputs scattered back, each tied row taking the outputs of the first
+    row of its run; pushes the gather index after step's records."""
+    x, h = np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
+    order, first = _canonical_order(n, x, h)
+    x_out, h_out = step(x[order], h[order], tape)
+    if tape is not None:
+        tape.append(order)
+    return _scatter(x_out[first], order), _scatter(h_out[first], order)
+
+
+def _canonical_pull(pull, dx, dh, tape):
+    """The backward of `_canonical`: `pull(dx, dh, tape)` on the adjoints
+    gathered into the recorded order, its input adjoints scattered back."""
+    order = _pop(tape)
+    dx, dh = np.asarray(dx, dtype=np.float64), np.asarray(dh, dtype=np.float64)
+    dx, dh = pull(dx[order], dh[order], tape)
+    return _scatter(dx, order), _scatter(dh, order)
 
 
 @functools.lru_cache(maxsize=64)
@@ -89,6 +141,11 @@ def _set_sums(vals, size):
     """Sum each run of `size` consecutive rows, summands in sorted order, so
     the sum does not depend on how a run's rows were enumerated."""
     return np.sort(vals.reshape(-1, size, vals.shape[1]), axis=1).sum(axis=1)
+
+
+def _run_sums(vals, size):
+    """Sum each run of `size` consecutive rows, in row order."""
+    return vals.reshape(-1, size, vals.shape[1]).sum(axis=1)
 
 
 def _center_sets(vals, n):
@@ -123,13 +180,18 @@ class DenseNet:
         self.grad_w = [np.zeros_like(w) for w in self.weights]
         self.grad_b = [np.zeros_like(b) for b in self.biases]
 
-    def forward(self, x, tape=None):
+    def forward(self, x, tape=None, sets=1):
+        """Outputs for the rows of x, which stacks `sets` equal runs of rows;
+        each run's output bits are those of its own unstacked pass."""
         last = len(self.weights) - 1
         xs, zs, ss = [], [], []
         a = np.asarray(x, dtype=np.float64)
+        if not (a.flags.c_contiguous and a.flags.aligned):
+            a = a.copy()
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             xs.append(a)
-            z = _rowwise_matmul(a, w) + b
+            z = _set_matmul(a, w, sets)
+            z += b
             if l < last:
                 s = sigmoid(z)
                 zs.append(z)
@@ -191,12 +253,21 @@ class EquivariantLayer:
 
     def forward(self, x, h, tape=None, n=None):
         """Update b stacked sets of n points; x and h hold b*n rows, set by
-        set. Each set's output bits are those of its own unstacked pass."""
-        n = x.shape[0] if n is None else n
+        set, each set's rows in any order. Each set's output bits are those
+        of its own unstacked pass, and a permutation of its rows permutes
+        them."""
+        n = len(x) if n is None else n
+        return _canonical(lambda x, h, tape: self._update(x, h, tape, n), n, x, h, tape)
+
+    def backward(self, dx_out, dh_out, tape):
+        return _canonical_pull(self._pull, dx_out, dh_out, tape)
+
+    def _update(self, x, h, tape, n):
+        """`forward` on rows already in canonical order."""
         b = x.shape[0] // n
         if n == 1:
             n_in = np.concatenate([h, np.zeros((b, self.width))], axis=1)
-            h_out = self.node_net.forward(n_in, tape)
+            h_out = self.node_net.forward(n_in, tape, b)
             diff = w = None
             x_out = x.copy()
         else:
@@ -204,17 +275,19 @@ class EquivariantLayer:
             diff = x[i_idx] - x[j_idx]
             d2 = np.einsum("ei,ei->e", diff, diff, optimize=False)[:, None]
             e_in = np.concatenate([h[i_idx], h[j_idx], d2], axis=1)
-            m = self.edge_net.forward(e_in, tape)
-            w = self.coord_net.forward(m, tape)
-            delta = _set_sums(diff * w, n - 1) * (self.coord_scale / (n - 1))
-            x_out = x + _center_sets(delta, n)
-            agg = _set_sums(m, n - 1)
-            h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), tape)
+            m = self.edge_net.forward(e_in, tape, b)
+            w = self.coord_net.forward(m, tape, b)
+            delta = _run_sums(diff * w, n - 1) * (self.coord_scale / (n - 1))
+            sets = delta.reshape(b, n, 3)
+            x_out = x + (sets - sets.sum(axis=1, keepdims=True) / n).reshape(delta.shape)
+            agg = _run_sums(m, n - 1)
+            h_out = self.node_net.forward(np.concatenate([h, agg], axis=1), tape, b)
         if tape is not None:
             tape.append((diff, w, n, b))
         return x_out, h_out
 
-    def backward(self, dx_out, dh_out, tape):
+    def _pull(self, dx_out, dh_out, tape):
+        """`backward` of `_update`, on adjoints in canonical order."""
         diff, w, n, b = _pop(tape)
         width = self.width
         dn_in = self.node_net.backward(dh_out, tape)
@@ -233,10 +306,10 @@ class EquivariantLayer:
             de_in = self.edge_net.backward(dm, tape)
             dd2 = de_in[:, 2 * width :]
             ddiff = ddiff + 2.0 * diff * dd2
-            dh += _set_sums(de_in[:, :width], n - 1) + _set_sums(
+            dh += _run_sums(de_in[:, :width], n - 1) + _run_sums(
                 de_in[jmaj, width : 2 * width], n - 1
             )
-            dx += _set_sums(ddiff, n - 1) - _set_sums(ddiff[jmaj], n - 1)
+            dx += _run_sums(ddiff, n - 1) - _run_sums(ddiff[jmaj], n - 1)
         return dx, dh
 
     def sub_nets(self):
@@ -343,24 +416,35 @@ class VectorFieldModel:
     # -- the one walk in each direction ---------------------------------------
 
     def _forward(self, net, x, h, tape, n=None):
-        """Coordinate and feature outputs of `net` on inputs (x, h); a net
-        the model lacks is the identity and returns copies of its inputs."""
+        """Coordinate and feature outputs of `net` on inputs (x, h), stacked
+        sets of n rows (one set without n), run in canonical row order; a
+        net the model lacks is the identity and returns copies of its
+        inputs."""
         if net not in self.blocks:
             return np.array(x, dtype=np.float64), np.array(h, dtype=np.float64)
         embed, *stack, out = self.blocks[net]
-        h = embed.forward(h, tape)
-        x = np.asarray(x, dtype=np.float64)
-        for layer in stack:
-            x, h = layer.forward(x, h, tape, n)
-        return x, out.forward(h, tape)
+        n = len(x) if n is None else n
+        sets = len(x) // n
+
+        def walk(x, h, tape):
+            h = embed.forward(h, tape, sets)
+            for layer in stack:
+                x, h = layer._update(x, h, tape, n)
+            return x, out.forward(h, tape, sets)
+
+        return _canonical(walk, n, x, h, tape)
 
     def _backward(self, net, dx, dh, tape):
         """Pull output adjoints (dx, dh) of `net` back to its inputs."""
         embed, *stack, out = self.blocks[net]
-        dh = out.backward(dh, tape)
-        for layer in reversed(stack):
-            dx, dh = layer.backward(dx, dh, tape)
-        return dx, embed.backward(dh, tape)
+
+        def pull(dx, dh, tape):
+            dh = out.backward(dh, tape)
+            for layer in reversed(stack):
+                dx, dh = layer._pull(dx, dh, tape)
+            return dx, embed.backward(dh, tape)
+
+        return _canonical_pull(pull, dx, dh, tape)
 
     # -- velocity field ------------------------------------------------------
 

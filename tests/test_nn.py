@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +16,7 @@ from geomflow.nn import (
     EquivariantLayer,
     VectorFieldModel,
     _center_sets,
-    _rowwise_matmul,
+    _set_matmul,
     _set_sums,
     adam_step,
     backward,
@@ -352,6 +358,111 @@ class TestEncodeDecode:
         assert np.array_equal(xp.features, x.features[perm])
 
 
+def _points_with_ties(rng, n, copies, signed_zero, flipped, width):
+    """n points with one coordinate a signed zero, then `copies` points
+    overwritten by copies of others (which may carry that zero); with
+    `flipped`, one more copy of the zero's point with the zero's sign
+    flipped, equal in value but not in bits."""
+    x = rng.standard_normal((n, 3))
+    h = rng.standard_normal((n, width))
+    row, col = rng.integers(n), rng.integers(3)
+    x[row, col] = signed_zero
+    for _ in range(copies):
+        src, dst = rng.choice(n, 2, replace=False)
+        x[dst], h[dst] = x[src], h[src]
+    if flipped:
+        dst = (row + 1) % n
+        x[dst], h[dst] = x[row], h[row]
+        x[dst, col] = -x[row, col]
+    return x, h
+
+
+class TestTies:
+    """Bitwise permutation equivariance where points tie in the canonical
+    order (duplicated points) or nearly tie (+0.0 against -0.0). BLAS can
+    round identical rows differently at different positions of one product
+    (at width 40 in the gemm, at every width in the coordinate net's
+    one-column product), so this fails unless tied rows share outputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 29), copies=st.integers(1, 3),
+           signed_zero=st.sampled_from([0.0, -0.0]), flipped=st.booleans(),
+           width=st.sampled_from([8, 40]))
+    def test_permutation_exactness_with_duplicated_points(self, seed, n, copies,
+                                                          signed_zero, flipped, width):
+        rng = np.random.default_rng(seed)
+        x, h = _points_with_ties(rng, n, copies, signed_zero, flipped, width)
+        perm = rng.permutation(n)
+
+        def permuted(outs, outs_p, rows=slice(None)):
+            return all(np.array_equal(p[rows], o[perm]) for o, p in zip(outs, outs_p))
+
+        layer = EquivariantLayer(width, np.random.default_rng(seed))
+        assert permuted(layer.forward(x, h), layer.forward(x[perm], h[perm]))
+
+        model = VectorFieldModel(d=3, k=3, hidden=width, flow_layers=2, seed=seed)
+        z = LatentGeometry(n, x, h[:, :3])
+        zp = LatentGeometry(n, x[perm], h[perm, :3])
+        v = model.velocity(z, 0.4)
+        vp = model.velocity(zp, 0.4)
+        assert permuted((v.coords, v.features), (vp.coords, vp.features))
+        vs = model.velocity(stack([zp, z, zp]), 0.4, n=n)
+        for s in (0, 2):
+            rows = slice(s * n, (s + 1) * n)
+            assert permuted((v.coords, v.features), (vs.coords, vs.features), rows)
+        assert np.array_equal(vs.coords[n : 2 * n], v.coords)
+        assert np.array_equal(vs.features[n : 2 * n], v.features)
+
+        g = Geometry(n, x, h[:, 3:6])
+        e = encode(model, g)
+        ep = encode(model, Geometry(n, x[perm], h[perm, 3:6]))
+        assert permuted((e.coords, e.features), (ep.coords, ep.features))
+        d = decode(model, z)
+        dp = decode(model, zp)
+        assert permuted((d.coords, d.features), (dp.coords, dp.features))
+
+
+# Prints a digest of the bytes of stacked velocities, encodings and decodings
+# at hidden widths 32-128 and sets of up to 64 points, and the thread count
+# the loaded OpenBLAS reports (benchmark/run.py asks it).
+_THREAD_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from geomflow.geometry import Geometry, LatentGeometry
+from geomflow.nn import VectorFieldModel, decode, encode
+sys.path.insert(0, "benchmark")
+from run import blas_threads
+
+digest = hashlib.sha256()
+for hidden, n, sets in ((32, 64, 2), (128, 29, 3), (64, 8, 16)):
+    rng = np.random.default_rng(hidden + n)
+    model = VectorFieldModel(d=4, k=3, hidden=hidden, flow_layers=2, seed=n)
+    z = LatentGeometry(sets * n, rng.standard_normal((sets * n, 3)),
+                       rng.standard_normal((sets * n, 3)))
+    v = model.velocity(z, rng.uniform(size=sets), n=n)
+    g = Geometry(n, rng.standard_normal((n, 3)), rng.standard_normal((n, 4)))
+    e = encode(model, g)
+    x = decode(model, e)
+    for a in (v.coords, v.features, e.coords, e.features, x.coords, x.features):
+        digest.update(a.tobytes())
+print(json.dumps([blas_threads(), digest.hexdigest()]))
+"""
+
+
+def test_forward_bits_do_not_depend_on_blas_threads():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert [reported for reported, _ in runs] in ([1, 2], [None, None])
+    assert runs[0][1] == runs[1][1]
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = [np.ones((2, 2)), np.full(3, 0.5)]
@@ -483,30 +594,37 @@ def _matmul_input(rng, m, k, layout):
     return a
 
 
-class TestRowwiseMatmul:
+class TestSetMatmul:
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 200),
-           k=st.integers(1, 130), n=st.integers(1, 70),
+    @given(seed=st.integers(0, 2**32 - 1), sets=st.integers(1, 12),
+           m=st.integers(1, 60), k=st.integers(1, 130), n=st.integers(1, 70),
            layout=st.sampled_from(["contiguous", "strided", "misaligned"]))
-    def test_each_row_is_its_own_product(self, seed, m, k, n, layout):
+    def test_each_set_is_its_own_product(self, seed, sets, m, k, n, layout):
         rng = np.random.default_rng(seed)
-        a = _matmul_input(rng, m, k, layout)
+        a = _matmul_input(rng, sets * m, k, layout)
         w = rng.standard_normal((n, k))
-        out = _rowwise_matmul(a, w)
-        assert out.shape == (m, n)
-        # A row's bits are those of the same product on a fresh one-row
-        # copy. This also fails if the stack is ever folded into one gemm,
-        # whose row blocking makes a row's bits depend on its position.
-        for i in range(m):
-            assert np.array_equal(out[i], _rowwise_matmul(a[i : i + 1].copy(), w)[0])
-        perm = rng.permutation(m)
-        assert np.array_equal(_rowwise_matmul(a[perm], w), out[perm])
-        s, e = np.sort(rng.integers(0, m + 1, 2))
-        assert np.array_equal(_rowwise_matmul(a[s:e], w), out[s:e])
+        # DenseNet.forward hands the product a C-contiguous, aligned copy.
+        out = _set_matmul(np.require(a, requirements="CA"), w, sets)
+        assert out.shape == (sets * m, n)
+        # A set's bits are those of the same product on a fresh copy of that
+        # set alone, at every stack position.
+        for s in range(sets):
+            rows = slice(s * m, (s + 1) * m)
+            assert np.array_equal(out[rows], _set_matmul(a[rows].copy(), w, 1))
         # the same product as einsum up to rounding: within 1e-12 of the
         # sum of the absolute products
         ref = np.einsum("ni,oi->no", a, w, optimize=False)
         assert np.all(np.abs(out - ref) <= 1e-12 * (np.abs(a) @ np.abs(w).T))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "misaligned"])
+    def test_dense_net_output_per_set_whatever_the_layout(self, layout):
+        rng = np.random.default_rng(7)
+        net = DenseNet([9, 16, 5], rng)
+        a = _matmul_input(rng, 3 * 11, 9, layout)
+        out = net.forward(a, sets=3)
+        for s in range(3):
+            rows = slice(11 * s, 11 * (s + 1))
+            assert np.array_equal(out[rows], net.forward(a[rows].copy()))
 
 
 class TestDenseTape:
@@ -521,7 +639,7 @@ class TestDenseTape:
         # the same chain rule with the activation slope recomputed
         zs, a = [], x
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            z = _rowwise_matmul(a, w) + b
+            z = _set_matmul(a, w, 1) + b
             zs.append(z)
             a = silu(z)
         d = dy
