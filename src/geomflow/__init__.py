@@ -21,6 +21,7 @@ from .alignment import (
     hungarian,
     kabsch,
     solve_omt,
+    solve_omt_batch,
 )
 from .costs import CostReport, distribution_cost, molecule_cost, optimal_molecule_cost
 from .nn import (

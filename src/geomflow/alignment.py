@@ -8,7 +8,10 @@ rotation and row permutation that minimize the weighted squared cost
 The solver runs the classical pipeline: a per-point cost matrix, the
 Hungarian assignment for the permutation, and Kabsch's SVD solution for the
 rotation, optionally alternating the two until the cost stops improving.
-Translation is handled implicitly by the zero-CoM precondition.
+Translation is handled implicitly by the zero-CoM precondition. One kernel
+runs every alternation: the starts of a pair, and the pairs of one size
+given to `solve_omt_batch`, are rows of one stacked state, each with the
+bits it would have alone.
 
 `brute_force_omt` is the exact small-n oracle: it enumerates every
 permutation and solves the rotation subproblem in closed form, which is
@@ -17,9 +20,10 @@ globally optimal because the feature term does not depend on the rotation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +36,10 @@ ORACLE_MAX_N = 8
 ALTERNATION_EPS = 1e-10
 # The coordinate-vs-feature weight of the alignment cost.
 LAMBDA = 0.5
+# Kabsch's determinant correction: diag(1, 1, +1) or, for a reflection,
+# diag(1, 1, -1) on the smallest singular direction.
+_SIGN_FIX = np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+_SIGN_FIX.setflags(write=False)
 
 
 class AlignBudget(NamedTuple):
@@ -93,14 +101,19 @@ def _check_pair(z1: LatentGeometry, z0: LatentGeometry, lam: float):
         raise ValueError("lambda must lie in [0, 1]")
 
 
-def _check_centered(x: np.ndarray, who: str):
-    if np.abs(x.mean(axis=0)).max() > CENTER_TOL:
+def _check_centered(who: str, *xs: np.ndarray):
+    """Raise unless every (n, 3) set of the equal-shape (..., n, 3) stacks
+    `xs` is zero-CoM."""
+    means = np.add.reduce(np.array(xs), axis=-2) / xs[0].shape[-2]
+    if np.maximum.reduce(abs(means), axis=None) > CENTER_TOL:
         raise ValueError(f"{who} requires zero-CoM inputs")
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between every row of a and every row of b, per
+    set of a (..., n, w) stack."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def cost_matrix(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA) -> CostMatrix:
@@ -120,45 +133,139 @@ def hungarian(c: CostMatrix) -> Permutation:
     return Permutation(perm)
 
 
-def kabsch(x_target: np.ndarray, x_ref: np.ndarray) -> Rotation:
+def kabsch(x_target: np.ndarray, x_ref: np.ndarray):
     """Proper rotation R minimizing ||x_target @ R.T - x_ref||_F.
 
     Both point sets must be zero-CoM. Uses the SVD of the 3x3
     cross-covariance with the determinant sign correction applied to the
     smallest singular direction; rank-deficient inputs still yield a valid
     minimizer under that convention.
+
+    Like `np.linalg.svd`, it takes a leading stack axis: (n, 3) inputs
+    return a `Rotation`, (r, n, 3) inputs a read-only (r, 3, 3) array of
+    the r rotations, each with the bits of its own 2-D call.
     """
     x_target = np.asarray(x_target, dtype=np.float64)
     x_ref = np.asarray(x_ref, dtype=np.float64)
-    if x_target.shape != x_ref.shape or x_target.ndim != 2 or x_target.shape[1] != 3:
-        raise ValueError("kabsch expects two equal-shape (n, 3) arrays")
-    if x_target.shape[0] < 2:
+    if (x_target.shape != x_ref.shape or x_target.ndim not in (2, 3)
+            or x_target.shape[-1] != 3):
+        raise ValueError("kabsch expects two equal-shape (n, 3) or (r, n, 3) arrays")
+    if x_target.shape[-2] < 2:
         raise ValueError("kabsch needs at least two points")
-    _check_centered(x_target, "kabsch")
-    _check_centered(x_ref, "kabsch")
-    u, _, vt = np.linalg.svd(x_target.T @ x_ref)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0:
-        d = 1.0
-    corr = np.ones(3)
-    corr[2] = d
-    return Rotation(vt.T @ np.diag(corr) @ u.T)
+    _check_centered("kabsch", x_target, x_ref)
+    u, _, vt = np.linalg.svd(x_target.swapaxes(-1, -2) @ x_ref)
+    v, ut = vt.swapaxes(-1, -2), u.swapaxes(-1, -2)
+    r = v @ _SIGN_FIX[(np.linalg.det(v @ ut) < 0).astype(np.intp)] @ ut
+    if r.ndim == 2:
+        return Rotation(r)
+    Rotation.check(r)
+    r.setflags(write=False)
+    return r
 
 
-def _solution(z1, z0, lam, perm, rot, iterations) -> OmtSolution:
-    x1a = z1.coords[perm.map] @ rot.r.T
-    h1a = z1.features[perm.map]
-    sse_x = float(((x1a - z0.coords) ** 2).sum())
-    sse_h = float(((h1a - z0.features) ** 2).sum())
-    return OmtSolution(
-        rotation=rot,
-        permutation=perm,
-        aligned_target=LatentGeometry(z1.n, x1a, h1a),
-        cost=lam * sse_x + (1.0 - lam) * sse_h,
-        coord_cost=math.sqrt(sse_x),
-        feature_cost=math.sqrt(sse_h),
-        iterations=iterations,
-    )
+@functools.lru_cache(maxsize=32)
+def _start_rotations(pairs: int, restarts: int) -> np.ndarray:
+    """The read-only (pairs * restarts, 3, 3) alternation starts of a
+    stack: per pair the identity, then seeded random rotations."""
+    starts = [np.eye(3)] + [random_rotation(90_000 + 17 * i).r for i in range(restarts - 1)]
+    starts = np.array(starts * pairs)
+    starts.setflags(write=False)
+    return starts
+
+
+def _check_budget(max_iters: int, restarts: int):
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+
+
+def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
+    """The alternation of b checked pairs of one size n, each from every
+    start, as one state of R = b * restarts rows; `solve_omt` per pair.
+
+    A pass runs on the rows still active: one stacked rotate and (a, n, n)
+    cost, one `hungarian` per row, one stacked `kabsch` and the stacked
+    costs, each row summed over its flattened entries as a lone pair would
+    be. Each row keeps its own best and previous cost, and leaves the state
+    with its pass count once a pass improves its cost by less than
+    ALTERNATION_EPS. Per pair the first strict minimum over its starts wins.
+    """
+    b, s, n = len(z1s), restarts, z1s[0].n
+    x1 = np.array([z.coords for z in z1s for _ in range(s)])
+    h1 = np.array([z.features for z in z1s for _ in range(s)])
+    x0 = np.array([z.coords for z in z0s for _ in range(s)])
+    h0 = np.array([z.features for z in z0s for _ in range(s)])
+    # The feature half of every pass's cost matrix.
+    feat = (1.0 - lam) * _sq_dists(h1, h0)
+    rot = _start_rotations(b, s)
+    rows = range(b * s)
+    ar = np.arange(b * s)[:, None]
+    # Per row that left the state: its best as (the list `best` of the
+    # rows active then, its position in them, its pass count).
+    done = [None] * (b * s)
+    for it in range(max_iters):
+        a = len(rows)
+        m = lam * _sq_dists(x1 @ rot.swapaxes(-1, -2), x0) + feat
+        perm = [hungarian(CostMatrix(mj)) for mj in m]
+        at = (ar, np.array([p.map for p in perm]))
+        x1p = x1[at]
+        if n >= 2:
+            rot = kabsch(x1p, x0)
+        else:
+            rot = np.broadcast_to(np.eye(3), (a, 3, 3))
+        x1a = x1p @ rot.swapaxes(-1, -2)
+        sse_x = np.add.reduce(((x1a - x0) ** 2).reshape(a, -1), axis=1)
+        sse_h = np.add.reduce(((h1[at] - h0) ** 2).reshape(a, -1), axis=1)
+        cost = lam * sse_x + (1.0 - lam) * sse_h
+        # best: cost, rotation, aligned coordinates, the coordinate and
+        # feature sums of squares, permutation.
+        if it == 0:
+            best = [cost, rot, x1a, sse_x, sse_h, perm]
+        else:
+            won = cost < best[0]
+            best = [*(np.where(won.reshape((a,) + (1,) * (v.ndim - 1)), v, w)
+                      for v, w in zip((cost, rot, x1a, sse_x, sse_h), best)),
+                    [p if better else q for p, q, better in zip(perm, best[5], won)]]
+        # After the first pass (prev = inf) every row goes on; after the
+        # last none does.
+        if it + 1 == max_iters:
+            leaving = range(a)
+        elif it == 0:
+            leaving = ()
+        else:
+            go = ~(prev - cost < ALTERNATION_EPS)
+            leaving = np.flatnonzero(~go)
+        for j in leaving:
+            done[rows[j]] = (best, j, it + 1)
+        if len(leaving) == a:
+            break
+        prev = cost
+        if len(leaving):
+            best = [*(v[go] for v in best[:5]), [q for q, g in zip(best[5], go) if g]]
+            rows = [r for r, g in zip(rows, go) if g]
+            ar = ar[:len(rows)]
+            prev, rot, x1, h1, x0, h0, feat = (
+                v[go] for v in (prev, rot, x1, h1, x0, h0, feat))
+
+    out = []
+    for p in range(b):
+        win = done[p * s]
+        for row in done[p * s + 1:(p + 1) * s]:
+            if row[0][0][row[1]] < win[0][0][win[1]]:
+                win = row
+        (cost, rot_w, x1a, sse_x, sse_h, perm), j, passes = win
+        perm = perm[j]
+        out.append(OmtSolution(
+            rotation=Rotation.of_checked(rot_w[j]),
+            permutation=perm,
+            aligned_target=LatentGeometry(n, x1a[j], z1s[p].features[perm.map]),
+            cost=float(cost[j]),
+            coord_cost=math.sqrt(sse_x[j]),
+            feature_cost=math.sqrt(sse_h[j]),
+            iterations=passes,
+        ))
+    return out
 
 
 def solve_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA,
@@ -171,43 +278,33 @@ def solve_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA,
     variable, so the cost is non-increasing) until the improvement drops
     below 1e-10. `restarts` > 1 additionally tries seeded random initial
     rotations and keeps the best solution; the identity start is always
-    included, so the result can never be worse than the single pass.
+    included, so the result can never be worse than the single pass. The
+    starts run side by side as rows of one stacked alternation (the
+    one-pair case of `solve_omt_batch`); `iterations` is the pass count of
+    the winning start.
     """
     _check_pair(z1, z0, lam)
-    _check_centered(z1.coords, "solve_omt")
-    _check_centered(z0.coords, "solve_omt")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_centered("solve_omt", z1.coords, z0.coords)
+    _check_budget(max_iters, restarts)
+    return _align_stack([z1], [z0], lam, max_iters, restarts)[0]
 
-    n = z1.n
-    feat_d2 = _sq_dists(z1.features, z0.features)
-    inits = [np.eye(3)] + [
-        random_rotation(90_000 + 17 * i).r for i in range(restarts - 1)
-    ]
 
-    best = None
-    for rot_m in inits:
-        prev_cost = np.inf
-        local_best = None
-        for it in range(max_iters):
-            m = lam * _sq_dists(z1.coords @ rot_m.T, z0.coords) + (1.0 - lam) * feat_d2
-            perm = hungarian(CostMatrix(m))
-            if n >= 2:
-                rot = kabsch(z1.coords[perm.map], z0.coords)
-            else:
-                rot = Rotation.identity()
-            cand = _solution(z1, z0, lam, perm, rot, it + 1)
-            if local_best is None or cand.cost < local_best.cost:
-                local_best = cand
-            if prev_cost - cand.cost < ALTERNATION_EPS:
-                break
-            prev_cost, rot_m = cand.cost, rot.r
-        local_best = replace(local_best, iterations=it + 1)
-        if best is None or local_best.cost < best.cost:
-            best = local_best
-    return best
+def solve_omt_batch(z1s, z0s, lam: float = LAMBDA,
+                    max_iters: int = SINGLE_PASS.max_iters,
+                    restarts: int = SINGLE_PASS.restarts) -> list:
+    """`solve_omt` of each pair (z1s[i], z0s[i]), all of one point count,
+    run as one stacked alternation; the solutions in input order, each
+    bit-identical to its own `solve_omt` call."""
+    z1s, z0s = list(z1s), list(z0s)
+    if len(z1s) != len(z0s) or not z1s:
+        raise ValueError("solve_omt_batch needs equal, non-empty lists of targets and references")
+    for z1, z0 in zip(z1s, z0s):
+        _check_pair(z1, z0, lam)
+        if z1.n != z1s[0].n or z1.k != z1s[0].k:
+            raise ValueError("solve_omt_batch needs pairs of one size and feature width")
+        _check_centered("solve_omt_batch", z1.coords, z0.coords)
+    _check_budget(max_iters, restarts)
+    return _align_stack(z1s, z0s, lam, max_iters, restarts)
 
 
 def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA):
@@ -221,8 +318,7 @@ def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA)
     _check_pair(z1, z0, lam)
     if z1.n > ORACLE_MAX_N:
         raise ValueError("oracle size limit")
-    _check_centered(z1.coords, "brute_force_omt")
-    _check_centered(z0.coords, "brute_force_omt")
+    _check_centered("brute_force_omt", z1.coords, z0.coords)
 
     n = z1.n
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)

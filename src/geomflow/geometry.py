@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHO_TOL = 1e-9
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def _as_readonly(a, dtype=np.float64) -> np.ndarray:
@@ -86,14 +88,31 @@ class Rotation:
         object.__setattr__(self, "r", _as_readonly(self.r))
         if self.r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if np.linalg.norm(self.r.T @ self.r - np.eye(3)) > ORTHO_TOL:
+        self.check(self.r)
+
+    @staticmethod
+    def check(r: np.ndarray):
+        """Raise unless every 3x3 matrix of the (..., 3, 3) stack `r` is
+        orthonormal with determinant +1, within ORTHO_TOL (so a NaN entry
+        fails)."""
+        worst = np.maximum.reduce
+        gram = r.swapaxes(-1, -2) @ r - _EYE3
+        if not worst(np.sqrt(np.einsum("...ij,...ij->...", gram, gram)), axis=None) <= ORTHO_TOL:
             raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(self.r) - 1.0) > ORTHO_TOL:
+        if not worst(abs(np.linalg.det(r) - 1.0), axis=None) <= ORTHO_TOL:
             raise ValueError("rotation matrix must have determinant +1")
 
     @classmethod
     def identity(cls) -> "Rotation":
         return cls(np.eye(3))
+
+    @classmethod
+    def of_checked(cls, r: np.ndarray) -> "Rotation":
+        """The Rotation of a 3x3 matrix that has already passed `check`
+        (say, as one matrix of a checked stack), without checking it again."""
+        rot = object.__new__(cls)
+        object.__setattr__(rot, "r", _as_readonly(r))
+        return rot
 
     def inverse(self) -> "Rotation":
         return Rotation(self.r.T)
@@ -130,7 +149,7 @@ class Permutation:
         n = len(m)
         if n < 1:
             raise ValueError("permutation must be non-empty")
-        if not np.array_equal(np.sort(m), np.arange(n)):
+        if m.ndim != 1 or not (np.sort(m) == np.arange(n)).all():
             raise ValueError("permutation map must be a bijection on {0..n-1}")
 
     @property

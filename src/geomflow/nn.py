@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +156,12 @@ def _center_sets(vals, n):
 
 
 def _check_sizes(**sizes):
-    """The range rule of the model's sizes (and of other counts that must
-    be at least 1): raises ValueError naming the first one below 1."""
+    """The kind and range rule of the model's sizes (and of other counts
+    that must be at least 1): raises ValueError naming the first one that
+    is not an integer >= 1."""
     for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class DenseNet:
@@ -343,6 +346,11 @@ class VectorFieldModel:
     ):
         _check_sizes(d=d, k=k, hidden=hidden, flow_layers=flow_layers,
                      decoder_layers=decoder_layers)
+        if not isinstance(identity_latent, bool):
+            raise ValueError(f"identity_latent must be true or false, got {identity_latent!r}")
+        if (isinstance(coord_scale, bool) or not isinstance(coord_scale, numbers.Real)
+                or not math.isfinite(coord_scale)):
+            raise ValueError(f"coord_scale must be a finite number, got {coord_scale!r}")
         if identity_latent:
             k = d
         self.d = d

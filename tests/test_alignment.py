@@ -1,17 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.alignment import (
+    ALTERNATION_EPS,
     CostMatrix,
     brute_force_omt,
     cost_matrix,
     hungarian,
     kabsch,
     solve_omt,
+    solve_omt_batch,
 )
-from geomflow.geometry import LatentGeometry, Permutation, random_rotation
+from geomflow.geometry import LatentGeometry, Permutation, Rotation, random_rotation
 
 
 def random_latent(seed, n=5, k=2, centered=True):
@@ -249,3 +253,150 @@ class TestBruteForceOmt:
         z0 = LatentGeometry(1, [[0.0, 0, 0]], [[0.0, 0.0]])
         cost, _, _ = brute_force_omt(z1, z0, 0.5)
         assert abs(cost - 0.5 * 4.0) <= 1e-12
+
+
+def centered(rng, shape):
+    x = rng.standard_normal(shape)
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+class TestStackedKabsch:
+    def test_stack_equals_per_matrix_bits(self):
+        rng = np.random.default_rng(60)
+        for n in (2, 3, 7, 29):
+            a, b = centered(rng, (9, n, 3)), centered(rng, (9, n, 3))
+            stacked = kabsch(a, b)
+            assert stacked.shape == (9, 3, 3) and not stacked.flags.writeable
+            for j in range(9):
+                assert stacked[j].tobytes() == kabsch(a[j], b[j]).r.tobytes()
+
+    def test_two_d_call_still_returns_a_rotation(self):
+        rng = np.random.default_rng(61)
+        assert isinstance(kabsch(centered(rng, (5, 3)), centered(rng, (5, 3))), Rotation)
+
+    def test_uncentred_slice_raises_the_two_d_error(self):
+        rng = np.random.default_rng(62)
+        a, b = centered(rng, (4, 6, 3)), centered(rng, (4, 6, 3))
+        a[2] += 1.0
+        with pytest.raises(ValueError) as two_d:
+            kabsch(a[2], b[2])
+        with pytest.raises(ValueError) as stacked:
+            kabsch(a, b)
+        assert str(stacked.value) == str(two_d.value)
+
+    def test_stack_of_one_point_raises_the_two_d_error(self):
+        x = np.zeros((3, 1, 3))
+        with pytest.raises(ValueError) as two_d:
+            kabsch(x[0], x[0])
+        with pytest.raises(ValueError) as stacked:
+            kabsch(x, x)
+        assert str(stacked.value) == str(two_d.value) == "kabsch needs at least two points"
+
+    def test_stacked_reflection_raises_the_two_d_error(self):
+        stack = np.array([np.eye(3), np.diag([1.0, 1.0, -1.0]), random_rotation(5).r])
+        with pytest.raises(ValueError) as two_d:
+            Rotation(stack[1])
+        with pytest.raises(ValueError) as stacked:
+            Rotation.check(stack)
+        assert str(stacked.value) == str(two_d.value)
+        Rotation.check(stack[[0, 2]])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal-shape"):
+            kabsch(np.zeros((2, 4, 3)), np.zeros((4, 3)))
+
+
+def solve_omt_per_start(z1, z0, lam, max_iters, restarts):
+    """The alignment loop as it ran before the stacked kernel: every start
+    and every pass its own Python step (a reference for bit identity)."""
+    def sq_dists(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    feat_d2 = sq_dists(z1.features, z0.features)
+    inits = [np.eye(3)] + [random_rotation(90_000 + 17 * i).r for i in range(restarts - 1)]
+    best = None
+    for rot_m in inits:
+        prev_cost, local_best = np.inf, None
+        for it in range(max_iters):
+            m = lam * sq_dists(z1.coords @ rot_m.T, z0.coords) + (1.0 - lam) * feat_d2
+            perm = hungarian(CostMatrix(m))
+            rot = kabsch(z1.coords[perm.map], z0.coords) if z1.n >= 2 else Rotation.identity()
+            x1a = z1.coords[perm.map] @ rot.r.T
+            sse_x = float(((x1a - z0.coords) ** 2).sum())
+            sse_h = float(((z1.features[perm.map] - z0.features) ** 2).sum())
+            cand = (lam * sse_x + (1.0 - lam) * sse_h, sse_x, sse_h, perm, rot, x1a)
+            if local_best is None or cand[0] < local_best[0]:
+                local_best = cand
+            if prev_cost - cand[0] < ALTERNATION_EPS:
+                break
+            prev_cost, rot_m = cand[0], rot.r
+        local_best = (*local_best, it + 1)
+        if best is None or local_best[0] < best[0]:
+            best = local_best
+    return best
+
+
+def assert_same_bits(sol, ref, z1):
+    cost, sse_x, sse_h, perm, rot, x1a, iterations = ref
+    assert sol.cost == cost
+    assert sol.coord_cost == math.sqrt(sse_x) and sol.feature_cost == math.sqrt(sse_h)
+    assert sol.iterations == iterations
+    assert np.array_equal(sol.permutation.map, perm.map)
+    assert sol.rotation.r.tobytes() == rot.r.tobytes()
+    assert sol.aligned_target.coords.tobytes() == x1a.tobytes()
+    assert sol.aligned_target.features.tobytes() == z1.features[perm.map].tobytes()
+
+
+def draw_pairs(seed, n, k, count, planted):
+    """`count` centred pairs of n points; with `planted`, each z0 is a
+    rotated, permuted (and slightly moved) copy of its z1."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        z1 = LatentGeometry(n, centered(rng, (n, 3)), rng.standard_normal((n, k)))
+        if planted:
+            perm = rng.permutation(n)
+            moved = (z1.coords @ random_rotation(int(rng.integers(1 << 30))).r.T)[perm]
+            moved = moved + 1e-3 * rng.standard_normal((n, 3))
+            z0 = LatentGeometry(n, moved - moved.mean(axis=0), z1.features[perm])
+        else:
+            z0 = LatentGeometry(n, centered(rng, (n, 3)), rng.standard_normal((n, k)))
+        pairs.append((z1, z0))
+    return pairs
+
+
+class TestStackedAlignmentKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29), restarts=st.integers(1, 8),
+           lam=st.sampled_from([0.0, 0.5, 1.0]), max_iters=st.sampled_from([1, 3, 20]),
+           planted=st.booleans())
+    def test_batch_equals_per_start_loop_and_solve_omt(self, seed, n, restarts, lam,
+                                                       max_iters, planted):
+        pairs = draw_pairs(seed, n, 2, 3, planted)
+        batch = solve_omt_batch([z1 for z1, _ in pairs], [z0 for _, z0 in pairs], lam,
+                                max_iters=max_iters, restarts=restarts)
+        assert len(batch) == len(pairs)
+        for (z1, z0), sol in zip(pairs, batch):
+            ref = solve_omt_per_start(z1, z0, lam, max_iters, restarts)
+            assert_same_bits(sol, ref, z1)
+            assert_same_bits(solve_omt(z1, z0, lam, max_iters=max_iters, restarts=restarts),
+                             ref, z1)
+
+    def test_report_budget_on_planted_and_independent_pairs(self):
+        for n in (1, 2, 5, 13, 29):
+            for planted in (False, True):
+                for z1, z0 in draw_pairs(n, n, 4, 2, planted):
+                    ref = solve_omt_per_start(z1, z0, 0.5, 20, 4)
+                    assert_same_bits(solve_omt(z1, z0, 0.5, max_iters=20, restarts=4), ref, z1)
+
+    def test_batch_rejects_mixed_sizes_and_uncentred_pairs(self):
+        (a1, a0), = draw_pairs(0, 4, 2, 1, False)
+        (b1, b0), = draw_pairs(1, 5, 2, 1, False)
+        with pytest.raises(ValueError, match="one size"):
+            solve_omt_batch([a1, b1], [a0, b0])
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_omt_batch([], [])
+        off = LatentGeometry(4, a1.coords + 1.0, a1.features)
+        with pytest.raises(ValueError, match="zero-CoM"):
+            solve_omt_batch([a1, off], [a0, a0])

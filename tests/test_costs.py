@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from geomflow import costs
+from geomflow.alignment import solve_omt
 from geomflow.costs import CostReport, distribution_cost, molecule_cost, optimal_molecule_cost
 from geomflow.flow import CouplingPair, CouplingSet
 from geomflow.geometry import Geometry, LatentGeometry, random_rotation
@@ -142,6 +146,53 @@ class TestDistributionCost:
             CouplingSet([CouplingPair(pair.z0, z1t)]), exact=True
         ).total_cost
         assert abs(moved_cost - base) <= 1e-8
+
+
+class TestGroupedDistributionCost:
+    """The report aligns the pairs of each point count as one stack."""
+
+    @staticmethod
+    def mixed_pairs():
+        rng = np.random.default_rng(14)
+        pairs = []
+        for i, n in enumerate([5, 7, 5, 1, 7, 9, 5, 2, 7, 5]):
+            z0 = LatentGeometry(n, rng.standard_normal((n, 3)) + 1.0, rng.standard_normal((n, 3)))
+            if i % 2:
+                perm = rng.permutation(n)
+                coords = (z0.coords @ random_rotation(i).r.T)[perm] - 2.0
+                z1 = LatentGeometry(n, coords, z0.features[perm])
+            else:
+                z1 = LatentGeometry(n, rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+            pairs.append(CouplingPair(z0, z1))
+        return pairs
+
+    def test_equals_per_pair_solve_omt_by_hand(self):
+        pairs = self.mixed_pairs()
+        coord, feat = [], []
+        for p in pairs:
+            z0, z1 = (LatentGeometry(z.n, z.coords - z.coords.mean(axis=0), z.features)
+                      for z in (p.z0, p.z1))
+            sol = solve_omt(z1, z0, 0.5, max_iters=20, restarts=4)
+            coord.append(sol.coord_cost)
+            feat.append(sol.feature_cost)
+        total = [c + f for c, f in zip(coord, feat)]
+        atoms = sum(p.z0.n for p in pairs)
+        expected = CostReport("latent", math.fsum(total) / len(pairs),
+                              math.fsum(total) / atoms, math.fsum(coord) / len(pairs),
+                              math.fsum(feat) / len(pairs), len(pairs))
+        assert distribution_cost(CouplingSet(pairs)) == expected
+
+    def test_independent_of_pair_order(self):
+        pairs = self.mixed_pairs()
+        base = distribution_cost(CouplingSet(pairs)).csv_row()
+        order = np.random.default_rng(3).permutation(len(pairs))
+        assert distribution_cost(CouplingSet([pairs[i] for i in order])).csv_row() == base
+
+    def test_independent_of_the_chunk_cap(self, monkeypatch):
+        pairs = self.mixed_pairs()
+        base = distribution_cost(CouplingSet(pairs)).csv_row()
+        monkeypatch.setattr(costs, "BATCH_ENTRIES", 1)
+        assert distribution_cost(CouplingSet(pairs)).csv_row() == base
 
 
 class TestCostReportValidation:

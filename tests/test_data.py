@@ -248,6 +248,28 @@ class TestCheckpointPersistence:
         assert str(path) in str(err.value)
 
 
+    @pytest.mark.parametrize(
+        "arch",
+        [{"coord_scale": "x"}, {"coord_scale": float("nan")}, {"coord_scale": float("inf")},
+         {"coord_scale": True}, {"identity_latent": 0}, {"identity_latent": "yes"},
+         {"hidden": 8.0}, {"k": True}, {"flow_layers": 0}, {"decoder_layers": "1"}],
+        ids=["string-coord-scale", "nan-coord-scale", "inf-coord-scale", "bool-coord-scale",
+             "int-identity-latent", "string-identity-latent", "float-hidden", "bool-k",
+             "zero-flow-layers", "string-decoder-layers"],
+    )
+    def test_bad_arch_field_names_file_and_key(self, tmp_path, arch):
+        path = tmp_path / "m.gflow.ckpt"
+        save_checkpoint(path, self.make_model())
+        head, rest = path.read_bytes().split(b"\n", 1)
+        rec = json.loads(head)
+        rec["arch"].update(arch)
+        path.write_bytes(json.dumps(rec).encode() + b"\n" + rest)
+        key = next(iter(arch))
+        with pytest.raises(MalformedFileError, match=key) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
 class TestPairsPersistence:
     def make_set(self):
         pairs = [

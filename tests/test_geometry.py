@@ -147,6 +147,16 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="orthonormal"):
             Rotation(np.eye(3) * 2.0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_rotation(self, entry):
+        m = np.eye(3)
+        m[1, 2] = entry
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="orthonormal"):
+                Rotation(m)
+            with pytest.raises(ValueError, match="orthonormal"):
+                Rotation.check(np.array([np.eye(3), m]))
+
     def test_rejects_nan_coords(self):
         bad = np.zeros((2, 3))
         bad[0, 0] = np.nan

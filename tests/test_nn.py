@@ -517,6 +517,17 @@ class TestGradCheck:
 
 
 class TestParameterPlumbing:
+    @pytest.mark.parametrize(
+        "field",
+        [{"d": 3.0}, {"k": 0}, {"hidden": True}, {"flow_layers": "2"}, {"decoder_layers": -1},
+         {"identity_latent": 1}, {"coord_scale": "x"}, {"coord_scale": float("nan")},
+         {"coord_scale": False}],
+    )
+    def test_architecture_fields_are_kind_and_range_checked(self, field):
+        args = {"d": 3, "k": 2, "hidden": 4, "flow_layers": 1, **field}
+        with pytest.raises(ValueError, match=next(iter(field))):
+            VectorFieldModel(**args)
+
     def test_flat_roundtrip(self):
         model = small_model(36)
         flat = model.get_flat()
