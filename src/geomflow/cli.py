@@ -8,6 +8,7 @@ budget ran out).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import itertools
 import json
@@ -596,7 +597,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt(3) parameters. By default glibc returns a freed heap top
+# above its trim threshold to the kernel and maps blocks above its mmap
+# threshold (128 KiB at start) afresh, so each training item or stacked
+# solve, which frees its pass records at its end, leaves the next one to
+# zero-fill fresh pages: about 50,000 page faults per benchmark `train`
+# command. The largest array of a pass is an edge array, at most
+# flow._STACK_EDGES x (2 hidden + 1) x 8 B, which stays under the 32 MiB mmap
+# threshold (the ceiling of glibc's own threshold adjustment on 64-bit
+# systems) up to hidden 511. A pass's tape holds a few such arrays per layer;
+# the 256 MiB trim threshold keeps the whole freed tape. Both only bound what
+# is kept: the heap never holds more than its peak.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_BYTES = 256 << 20
+_MMAP_BYTES = 32 << 20
+
+
+def _keep_heap() -> None:
+    """Keep the freed heap in the process (glibc only; elsewhere a no-op).
+    Where arrays live changes no output bit. Called by `main`, not at import:
+    a library leaves its host's allocator alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     try:
         args = build_parser().parse_args(argv)
     except UsageError as e:

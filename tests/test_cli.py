@@ -1,11 +1,17 @@
+import ctypes
 import json
+import os
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geomflow import cli, data, flow, nn, ode
+from geomflow.geometry import sample_noise
 
 
 @pytest.fixture()
@@ -600,3 +606,115 @@ class TestReadmeConfigTable:
         assert table == cli.DEFAULT_CONFIG
         for key, default in table.items():
             assert type(default) is type(cli.DEFAULT_CONFIG[key]), key
+
+
+def _has_mallopt():
+    try:
+        return ctypes.CDLL(None).mallopt is not None
+    except (OSError, AttributeError):
+        return False
+
+
+def _probe(script, *args):
+    """Standard output of `script` run in a fresh interpreter on one BLAS
+    thread, so that the allocator starts from its defaults."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Minor page faults of the second of two identical `train` commands.
+_FAULT_PROBE = """
+import contextlib, io, resource, sys
+from geomflow import cli
+
+d = sys.argv[1]
+argv = ["train", "--data", d + "/ds.geoms.jsonl", "--config", d + "/config.json",
+        "--out", d + "/m.gflow.ckpt"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before)
+"""
+
+# Digests of a training run (parameters, loss curve) and of a 64-draw coupling
+# estimate (endpoints) made with the allocator's defaults, then again after
+# cli._keep_heap(). A stack of 64 eight-point draws has 3584 edges, so its
+# edge arrays (about 1.8 MB) are well above glibc's default 128 KiB mmap
+# threshold.
+_IDENTITY_PROBE = """
+import hashlib, json
+import numpy as np
+from geomflow import cli, data, flow, ode
+
+def digest():
+    spec = data.TemplateSpec(num_templates=3, atoms_per_template=(17, 23, 29),
+                             jitter_sigma=0.02, seed=5)
+    config = flow.TrainConfig(hidden=32, flow_layers=2, k=2, identity_latent=False,
+                              use_omt=True, epochs=2, ae_epochs=1, batch_size=4, seed=3)
+    model, losses = flow.train(data.make_dataset(spec, 6), config)
+    pairs = flow.estimate_couplings(model, 64, ode.SolverConfig("rk4", fixed_steps=4), 11,
+                                    flow.SizeSampler.fixed(8))
+    h = hashlib.sha256(model.get_flat().tobytes())
+    h.update(np.asarray(losses, dtype=float).tobytes())
+    for p in pairs:
+        for z in (p.z0, p.z1):
+            h.update(z.coords.tobytes())
+            h.update(z.features.tobytes())
+    return h.hexdigest()
+
+before = digest()
+cli._keep_heap()
+print(json.dumps([before, digest()]))
+"""
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+class TestKeepHeap:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_repeated_train_command_takes_few_page_faults(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"num_templates": 3, "atoms_per_template": [21, 25, 29],
+                                    "feature_classes": 2, "jitter_sigma": 0.02,
+                                    "seed": 2}))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "hidden": 32, "flow_layers": 2, "k": 2, "identity_latent": False,
+            "use_omt": True, "epochs": 2, "ae_epochs": 1, "batch_size": 4}))
+        assert run("gendata", "--spec", spec, "--count", 8,
+                   "--out", tmp_path / "ds.geoms.jsonl") == 0
+        # With glibc's defaults the command took 28,000-32,000 faults; with
+        # the heap kept, 0.
+        assert int(_probe(_FAULT_PROBE, tmp_path)) < 1000
+
+    def test_outputs_are_bit_identical_with_the_heap_kept(self):
+        before, after = json.loads(_probe(_IDENTITY_PROBE))
+        assert before == after
+
+    @pytest.mark.parametrize("lookup", [None, _no_library, _no_mallopt])
+    def test_eval_report_whatever_the_c_library(self, tmp_path, monkeypatch, capsys, lookup):
+        rng = np.random.default_rng(4)
+        pairs = [flow.CouplingPair(sample_noise(n, 2, rng), sample_noise(n, 2, rng))
+                 for n in (3, 5, 5, 8)]
+        path = tmp_path / "c.pairs.bin"
+        data.save_pairs(path, flow.CouplingSet(pairs))
+        assert run("eval", "--pairs", path) == 0
+        report = capsys.readouterr().out
+        if lookup is not None:
+            monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+        cli._keep_heap()
+        cli._keep_heap()
+        assert run("eval", "--pairs", path) == 0
+        assert capsys.readouterr().out == report
