@@ -317,7 +317,7 @@ def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA)
     """
     _check_pair(z1, z0, lam)
     if z1.n > ORACLE_MAX_N:
-        raise ValueError("oracle size limit")
+        raise ValueError(f"oracle size limit ORACLE_MAX_N = {ORACLE_MAX_N}: {z1.n} points")
     _check_centered("brute_force_omt", z1.coords, z0.coords)
 
     n = z1.n

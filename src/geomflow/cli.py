@@ -12,14 +12,16 @@ import ctypes
 import hashlib
 import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import alignment, costs, data, flow, geometry, nn, ode
+from ._rules import FieldError, Rule, field_rules
+
 
 class UsageError(Exception):
     pass
@@ -30,17 +32,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The flat config is TrainConfig's fields, with `lam` named "lambda" and its
-# estimate_solver flattened through _SOLVER_KEYS, followed by ValidityRule's
-# fields.
-_RENAMED = {"lam": "lambda"}
-_SOLVER_KEYS = {"method": "estimate_solver", "fixed_steps": "estimate_steps"}
+# The flat config is TrainConfig's fields, its estimate_solver flattened into SolverConfig's,
+# then ValidityRule's. A field in _KEYS has that config key, every other its own name.
+_KEYS = {"lam": "lambda", "method": "estimate_solver", "fixed_steps": "estimate_steps"}
 
 
 def _flatten(tconf: flow.TrainConfig, rule: data.ValidityRule) -> dict:
-    flat = {_RENAMED.get(f.name, f.name): getattr(tconf, f.name) for f in fields(tconf)}
+    flat = {_KEYS.get(f.name, f.name): getattr(tconf, f.name) for f in fields(tconf)}
     solver = flat.pop("estimate_solver")
-    flat.update({_SOLVER_KEYS.get(k, k): v for k, v in asdict(solver).items()})
+    flat.update({_KEYS.get(k, k): v for k, v in asdict(solver).items()})
     flat.update(asdict(rule))
     return flat
 
@@ -49,11 +49,10 @@ DEFAULT_CONFIG = _flatten(flow.TrainConfig(), data.ValidityRule())
 
 
 def train_config_from(cfg: dict) -> flow.TrainConfig:
-    solver = ode.SolverConfig(
-        **{f.name: cfg[_SOLVER_KEYS.get(f.name, f.name)] for f in fields(ode.SolverConfig)}
-    )
+    solver = ode.SolverConfig(**{f.name: cfg[_KEYS.get(f.name, f.name)]
+                                 for f in fields(ode.SolverConfig)})
     return flow.TrainConfig(**{
-        f.name: solver if f.name == "estimate_solver" else cfg[_RENAMED.get(f.name, f.name)]
+        f.name: solver if f.name == "estimate_solver" else cfg[_KEYS.get(f.name, f.name)]
         for f in fields(flow.TrainConfig)
     })
 
@@ -62,27 +61,10 @@ def rule_from(cfg: dict) -> data.ValidityRule:
     return data.ValidityRule(**{f.name: cfg[f.name] for f in fields(data.ValidityRule)})
 
 
-def _same_kind(value, default) -> bool:
-    """Whether `value` has the JSON kind of the default `default`; a tuple
-    default asks for a list of values of its first item's kind."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    if default is None:
-        return value is None or isinstance(value, int)
-    return isinstance(value, type(default))
-
-
-def _check_kinds(obj: dict, defaults: dict, what: str):
-    """A UsageError naming the first key of `obj` whose value is not of the
-    kind of its default; keys without a default are left to the caller."""
-    for key, value in obj.items():
-        if key in defaults and not _same_kind(value, defaults[key]):
-            raise UsageError(f"{what} key {key!r} has value {value!r}, "
-                             f"not of the kind of its default {defaults[key]!r}")
+def _usage_error(what: str, e: Exception) -> UsageError:
+    """A record's TypeError or ValueError as a usage error; a field is named by its key."""
+    problem = f"{_KEYS.get(e.field, e.field)} {e.problem}" if isinstance(e, FieldError) else e
+    return UsageError(f"bad {what}: {problem}")
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -99,15 +81,14 @@ def _read_json_object(path, what: str) -> dict:
 
 def load_config(path, seed=None) -> dict:
     """The defaults updated from the flat JSON object in `path`, then from
-    `seed` unless it is None, checked in full (kinds, then the TrainConfig
-    and ValidityRule checks) before any work; every failure is a UsageError."""
+    `seed` unless it is None, checked in full (by building the TrainConfig
+    and the ValidityRule) before any work; every failure is a UsageError."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
         user = _read_json_object(path, "config")
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        _check_kinds(user, DEFAULT_CONFIG, "config")
         cfg.update(user)
     if seed is not None:
         cfg["seed"] = seed
@@ -115,7 +96,7 @@ def load_config(path, seed=None) -> dict:
         train_config_from(cfg)
         rule_from(cfg)
     except ValueError as e:
-        raise UsageError(f"bad config: {e}") from e
+        raise _usage_error("config", e) from e
     return cfg
 
 
@@ -134,15 +115,13 @@ def cmd_gendata(args) -> int:
     rule_dict = raw.pop("rule", None)
     if rule_dict is not None and not isinstance(rule_dict, dict):
         raise UsageError(f"template spec key 'rule' must be a JSON object, got {rule_dict!r}")
-    _check_kinds(raw, asdict(data.TemplateSpec()), "template spec")
-    _check_kinds(rule_dict or {}, asdict(data.ValidityRule()), "template spec rule")
+    if args.seed is not None:
+        raw["seed"] = args.seed
     try:
         spec = data.TemplateSpec(**raw)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
         rule = data.ValidityRule(**rule_dict) if rule_dict else data.default_rule(spec)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad template spec: {e}") from e
+        raise _usage_error("template spec", e) from e
     geoms = data.make_dataset(spec, args.count, rule)
     data.save_geometries(args.out, geoms)
     sizes = sorted({g.n for g in geoms})
@@ -173,15 +152,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _flag_checked(build, *args, **kwargs):
-    """`build(*args, **kwargs)`, its range errors reported as usage errors:
-    checks command-line flags before any file is read."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as e:
-        raise UsageError(f"bad flag value: {e}") from e
-
-
 def _shuffled_baseline(cset: flow.CouplingSet) -> flow.CouplingSet:
     """Re-pair each noise with the target of another pair of its size
     (cyclic shift per size). A size with one pair has no other target, so
@@ -204,7 +174,7 @@ def cmd_reflow(args) -> int:
         cfg["purify"] = args.purify == "on"
     if args.pairs is not None:
         cfg["reflow_pairs"] = args.pairs
-    tconf = _flag_checked(train_config_from, cfg)
+    tconf = train_config_from(cfg)
     model = data.load_checkpoint(args.ckpt)
     rule = data.ValidityRule.from_meta(model.meta) or rule_from(cfg)
     dataset = data.load_geometries(args.data) if args.data else None
@@ -246,9 +216,9 @@ def cmd_reflow(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    solver = _flag_checked(ode.SolverConfig, method=args.solver, fixed_steps=args.steps,
-                           rtol=args.rtol, atol=args.atol, max_steps=args.max_steps,
-                           init_step=args.init_step)
+    solver = ode.SolverConfig(method=args.solver, fixed_steps=args.steps, rtol=args.rtol,
+                              atol=args.atol, max_steps=args.max_steps,
+                              init_step=args.init_step)
     model = data.load_checkpoint(args.ckpt)
     sampler = flow.SizeSampler.from_meta(model.meta)
     t0 = time.perf_counter()
@@ -279,8 +249,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not 0.0 <= args.lam <= 1.0:
-        raise UsageError("--lambda must lie in [0, 1]")
     cset = data.load_pairs(args.pairs)
     report = costs.distribution_cost(cset, lam=args.lam, exact=args.exact)
     print(costs.CSV_HEADER)
@@ -524,26 +492,28 @@ def cmd_selftest(args) -> int:
 # argument plumbing
 
 
-def _int_at_least(low):
-    """An argparse type: an integer of at least `low`; others are usage
-    errors at parse time, before any file is read."""
-    def integer(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return integer
+def _flag(rule, text):
+    """A flag's `text` read as `rule`'s kind and held to the rule. Bound to a
+    rule by `partial`, this is an argparse type: a bad value is a usage error
+    at parse time, before any file is read."""
+    try:
+        return rule.check("flag", rule.kind(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="geomflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    train_rules = field_rules(flow.TrainConfig)
+    positive, seed = partial(_flag, Rule(int, 1)), partial(_flag, train_rules["seed"])
 
     p = sub.add_parser("gendata", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="TemplateSpec JSON file")
-    p.add_argument("--count", type=_int_at_least(1), required=True)
+    p.add_argument("--count", type=positive, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--seed", type=partial(_flag, field_rules(data.TemplateSpec)["seed"]),
+                   default=None)
     p.set_defaults(func=cmd_gendata)
 
     p = sub.add_parser("train", help="train the flow model")
@@ -551,43 +521,44 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="flat JSON config")
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reflow", help="estimate/purify couplings and fine-tune")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--rounds", type=_int_at_least(1), default=1)
+    p.add_argument("--rounds", type=positive, default=1)
     p.add_argument("--purify", choices=("on", "off"), default=None,
                    help="overrides the config's purify")
     p.add_argument("--out", required=True)
     p.add_argument("--pairs-out", default=None)
-    p.add_argument("--pairs", type=int, default=None, help="couplings per round")
+    p.add_argument("--pairs", type=partial(_flag, train_rules["reflow_pairs"]), default=None,
+                   help="couplings per round")
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None, help="dataset for the random-coupling baseline")
     p.add_argument("--metrics", default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--seed", type=seed, default=None)
+    p.add_argument("--threads", type=positive, default=1)
     p.set_defaults(func=cmd_reflow)
 
     solver = ode.SolverConfig()
     p = sub.add_parser("sample", help="generate geometries from a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--count", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=partial(_flag, Rule(int, 0)), required=True)
     p.add_argument("--solver", choices=ode.METHODS, default=solver.method)
-    p.add_argument("--steps", type=int, default=solver.fixed_steps)
-    p.add_argument("--rtol", type=float, default=solver.rtol)
-    p.add_argument("--atol", type=float, default=solver.atol)
-    p.add_argument("--max-steps", type=int, default=solver.max_steps)
-    p.add_argument("--init-step", type=float, default=solver.init_step)
+    for flag, name in (("--steps", "fixed_steps"), ("--rtol", "rtol"), ("--atol", "atol"),
+                       ("--max-steps", "max_steps"), ("--init-step", "init_step")):
+        p.add_argument(flag, type=partial(_flag, field_rules(solver)[name]),
+                       default=getattr(solver, name))
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--threads", type=positive, default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="transport cost of a coupling file")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=alignment.LAMBDA)
+    p.add_argument("--lambda", dest="lam", type=partial(_flag, train_rules["lam"]),
+                   default=alignment.LAMBDA)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -12,11 +12,13 @@ the pairs of each point count together, as one stacked alternation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .alignment import LAMBDA, AlignBudget, brute_force_omt, solve_omt, solve_omt_batch
+from ._rules import Rule, check, field_rules, ruled
+from .alignment import (LAMBDA, ORACLE_MAX_N, AlignBudget, brute_force_omt, solve_omt,
+                        solve_omt_batch)
 from .geometry import Geometry, LatentGeometry
 
 CSV_HEADER = "space,total_cost,per_atom_cost,coord_part,feature_part,num_pairs"
@@ -32,18 +34,14 @@ class CostReport:
     """Batch transport-cost summary over a coupling."""
 
     space: str
-    total_cost: float
-    per_atom_cost: float
-    coord_part: float
-    feature_part: float
-    num_pairs: int
+    total_cost: float = ruled(MISSING, Rule(float, 0))
+    per_atom_cost: float = ruled(MISSING, Rule(float, 0))
+    coord_part: float = ruled(MISSING, Rule(float, 0))
+    feature_part: float = ruled(MISSING, Rule(float, 0))
+    num_pairs: int = ruled(MISSING, Rule(int, 1))
 
     def __post_init__(self):
-        if self.num_pairs < 1:
-            raise ValueError("report needs at least one pair")
-        for name in ("total_cost", "per_atom_cost", "coord_part", "feature_part"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check(field_rules(self), vars(self))
 
     def csv_row(self) -> str:
         return (
@@ -132,15 +130,19 @@ def distribution_cost(pairs, lam: float = LAMBDA, exact: bool = False,
     geometries (a CouplingSet works). Each pair is re-centered; the
     alternating solver aligns the pairs of each point count together, as
     one `solve_omt_batch` stack, with the same result as pair by pair.
+    With `exact`, the oracle aligns each pair once every pair's size is checked.
     Summation is compensated so the reduction order cannot perturb the
     report.
     """
     pair_list = list(pairs)
     if not pair_list:
         raise ValueError("empty coupling")
-    for p in pair_list:
+    for i, p in enumerate(pair_list):
         if p.z0.n != p.z1.n:
             raise ValueError("size mismatch inside coupling")
+        if exact and p.z0.n > ORACLE_MAX_N:
+            raise ValueError(f"pair {i} has {p.z0.n} points, above the oracle size limit "
+                             f"ORACLE_MAX_N = {ORACLE_MAX_N}")
     if exact:
         norms = [_align(p.z0, p.z1, lam, True, max_iters, restarts)[1:] for p in pair_list]
     else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import secrets
 import struct
@@ -28,7 +27,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .flow import CouplingPair, CouplingSet, SizeSampler
+from ._rules import Rule, check, field_rules, ruled
+from .flow import CouplingPair, CouplingSet, SizeSampler, TrainConfig
 from .geometry import Geometry, LatentGeometry, rotation_from_rng
 from .nn import VectorFieldModel
 
@@ -60,51 +60,34 @@ class TruncatedFileError(PersistenceError):
 class TemplateSpec:
     """Shape of the synthetic distribution."""
 
-    num_templates: int = 4
-    atoms_per_template: tuple = (5, 6, 7, 8)
-    coord_scale: float = 1.0
-    feature_classes: int = 4
-    jitter_sigma: float = 0.05
-    feature_jitter: float = 0.0
-    feature_scale: float = 1.0
-    seed: int = 0
+    num_templates: int = ruled(4, Rule(int, 1))
+    atoms_per_template: tuple = ruled((5, 6, 7, 8), Rule(int, 2, each=True))
+    coord_scale: float = ruled(1.0, Rule(float, 0, open_low=True))
+    feature_classes: int = ruled(4, Rule(int, 1))
+    jitter_sigma: float = ruled(0.05, Rule(float, 0))
+    feature_jitter: float = ruled(0.0, Rule(float, 0))
+    feature_scale: float = ruled(1.0, Rule(float, 0, open_low=True))
+    seed: int = ruled(0, Rule(int, 0))
 
     def __post_init__(self):
+        check(field_rules(self), vars(self))
         object.__setattr__(self, "atoms_per_template", tuple(self.atoms_per_template))
-        if self.num_templates < 1:
-            raise ValueError("need at least one template")
         if len(self.atoms_per_template) != self.num_templates:
             raise ValueError("atoms_per_template length must equal num_templates")
-        if any(n < 2 for n in self.atoms_per_template):
-            raise ValueError("template sizes must be >= 2")
-        if self.jitter_sigma < 0 or self.feature_jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.coord_scale <= 0 or self.feature_scale <= 0:
-            raise ValueError("scales must be positive")
-        if self.feature_classes < 1:
-            raise ValueError("need at least one feature class")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class ValidityRule:
     """Geometric stand-in for a chemistry validity check."""
 
-    min_pair_dist: float = 0.25
-    max_radius: float = 4.0
-    onehot_margin: float = 0.5
+    min_pair_dist: float = ruled(0.25, Rule(float, 0, open_low=True))
+    max_radius: float = ruled(4.0, Rule(float))
+    onehot_margin: float = ruled(0.5, Rule(float, 0, 1, open_low=True))
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.min_pair_dist, self.max_radius,
-                                       self.onehot_margin))):
-            raise ValueError("validity thresholds must be finite")
-        if self.min_pair_dist <= 0:
-            raise ValueError("min_pair_dist must be positive")
+        check(field_rules(self), vars(self))
         if not self.min_pair_dist < self.max_radius:
             raise ValueError("min_pair_dist must be below max_radius")
-        if not 0.0 < self.onehot_margin <= 1.0:
-            raise ValueError("onehot_margin must lie in (0, 1]")
 
     @classmethod
     def from_meta(cls, meta: dict) -> "ValidityRule | None":
@@ -152,8 +135,7 @@ def snap_onehot(g: Geometry) -> Geometry:
 
 def make_dataset(spec: TemplateSpec, count: int, rule: ValidityRule | None = None):
     """Generate `count` geometries; all of them satisfy `rule`."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    Rule(int, 1).check("count", count)
     rng = np.random.default_rng(spec.seed)
     rule = rule if rule is not None else default_rule(spec)
 
@@ -162,7 +144,9 @@ def make_dataset(spec: TemplateSpec, count: int, rule: ValidityRule | None = Non
     sep_needed = rule.min_pair_dist + 8.0 * spec.jitter_sigma
     radius_allowed = rule.max_radius - 6.0 * spec.jitter_sigma
     if radius_allowed <= 0:
-        raise ValueError("spec inconsistent with validity rule")
+        raise ValueError(f"spec inconsistent with validity rule: max_radius "
+                         f"{rule.max_radius:g} is not above 6 jitter_sigma, "
+                         f"{6 * spec.jitter_sigma:g}")
     templates = []
     for n in spec.atoms_per_template:
         for _ in range(1000):
@@ -173,7 +157,10 @@ def make_dataset(spec: TemplateSpec, count: int, rule: ValidityRule | None = Non
             ):
                 break
         else:
-            raise ValueError("spec inconsistent with validity rule")
+            raise ValueError(
+                f"spec inconsistent with validity rule: no {n}-point template in 1000 draws "
+                f"has separation {sep_needed:g} (min_pair_dist + 8 jitter_sigma) within "
+                f"radius {radius_allowed:g} (max_radius - 6 jitter_sigma)")
         labels = rng.integers(0, spec.feature_classes, size=n)
         feats = np.zeros((n, spec.feature_classes))
         feats[np.arange(n), labels] = spec.feature_scale
@@ -185,7 +172,9 @@ def make_dataset(spec: TemplateSpec, count: int, rule: ValidityRule | None = Non
         while True:
             attempts += 1
             if attempts >= 40 and (len(samples) + 1) / attempts < 0.5:
-                raise ValueError("spec inconsistent with validity rule")
+                raise ValueError(
+                    f"spec inconsistent with validity rule: only {len(samples)} of "
+                    f"{attempts - 1} jittered copies pass it, under half")
             tidx = int(rng.integers(len(templates)))
             coords0, feats0 = templates[tidx]
             n = coords0.shape[0]
@@ -293,16 +282,8 @@ def _read_header(f, path, what, version) -> dict:
     return header
 
 
-def _check_meta_numbers(meta: dict):
-    """The meta fields that reflow reads as numbers, where present: a
-    positive integer `train_size` and a finite non-negative `sigma0`."""
-    size = meta.get("train_size", 1)
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise ValueError(f"meta 'train_size' must be a positive integer, got {size!r}")
-    sigma0 = meta.get("sigma0", 0.0)
-    if (isinstance(sigma0, bool) or not isinstance(sigma0, (int, float))
-            or not (math.isfinite(sigma0) and sigma0 >= 0)):
-        raise ValueError(f"meta 'sigma0' must be a finite number >= 0, got {sigma0!r}")
+# The numbers a checkpoint's `meta` may hold, which reflow reads.
+_META_RULES = {"train_size": Rule(int, 1), "sigma0": field_rules(TrainConfig)["sigma0"]}
 
 
 def load_checkpoint(path) -> VectorFieldModel:
@@ -316,7 +297,7 @@ def load_checkpoint(path) -> VectorFieldModel:
             if "size_hist" in model.meta:
                 SizeSampler.from_meta(model.meta)
             ValidityRule.from_meta(model.meta)
-            _check_meta_numbers(model.meta)
+            check(_META_RULES, model.meta)
         except (TypeError, ValueError) as e:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
         if header.get("param_count") != model.param_count:
@@ -364,18 +345,14 @@ def _read_exact(f, nbytes, size, path, what):
     return f.read(nbytes)
 
 
-def _header_count(header, key, path) -> int:
-    value = header.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise MalformedFileError(f"{path}: pairs header {key!r} is not a count")
-    return value
-
-
 def load_pairs(path) -> CouplingSet:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = _read_header(f, path, "pairs", PAIRS_VERSION)
-        count, k = _header_count(header, "count", path), _header_count(header, "k", path)
+        try:
+            count, k = (Rule(int, 0).check(key, header.get(key)) for key in ("count", "k"))
+        except ValueError as e:
+            raise MalformedFileError(f"{path}: bad pairs header: {e}") from e
         pairs = []
         for i in range(count):
             (n,) = struct.unpack("<I", _read_exact(f, 4, size, path, f"pair {i} size"))
@@ -411,22 +388,17 @@ class RunMetrics:
     empty in the file."""
 
     phase: str
-    distribution_cost: float | None = None
-    per_atom_cost: float | None = None
-    mean_steps: float | None = None
-    median_steps: float | None = None
-    validity_rate: float | None = None
-    wall_seconds: float | None = None
+    distribution_cost: float | None = ruled(None, Rule(float, 0, null=True))
+    per_atom_cost: float | None = ruled(None, Rule(float, 0, null=True))
+    mean_steps: float | None = ruled(None, Rule(float, 0, null=True))
+    median_steps: float | None = ruled(None, Rule(float, 0, null=True))
+    validity_rate: float | None = ruled(None, Rule(float, 0, 1, null=True))
+    wall_seconds: float | None = ruled(None, Rule(float, 0, null=True))
     seed: int
     config_hash: str
 
     def __post_init__(self):
-        if self.validity_rate is not None and not 0.0 <= self.validity_rate <= 1.0:
-            raise ValueError("validity_rate must lie in [0, 1]")
-        for name in ("distribution_cost", "per_atom_cost"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check(field_rules(self), vars(self))
 
     def as_row(self) -> dict:
         return {name: "" if v is None else v for name, v in asdict(self).items()}

@@ -17,20 +17,20 @@ bit. `sample_ode` is its one-draw case.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rules import Rule, check, field_rules, ruled
 from .alignment import LAMBDA, SINGLE_PASS, solve_omt
 from .geometry import LatentGeometry, sample_noise
 from .nn import (
     ARCH_DEFAULTS,
+    ARCH_RULES,
     AdamState,
     VectorFieldModel,
     _center_sets,
-    _check_sizes,
     _regression_loss,
     adam_step,
     decode,
@@ -91,57 +91,43 @@ class CouplingSet:
         return CouplingSet(list(self.pairs) + list(other.pairs))
 
 
+def _arch(name):  # an architecture field, with nn's default and rule
+    return ruled(ARCH_DEFAULTS[name], ARCH_RULES[name])
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for training, alignment, and reflow."""
 
-    lam: float = LAMBDA
-    epochs: int = 10
-    batch_size: int = 16
-    lr: float = 1e-4
-    sigma0: float = 0.01
-    purify: bool = True
-    seed: int = 0
-    # architecture: the fields of nn.ARCH_DEFAULTS, with their defaults
-    k: int = ARCH_DEFAULTS["k"]
-    hidden: int = ARCH_DEFAULTS["hidden"]
-    flow_layers: int = ARCH_DEFAULTS["flow_layers"]
-    decoder_layers: int = ARCH_DEFAULTS["decoder_layers"]
-    identity_latent: bool = ARCH_DEFAULTS["identity_latent"]
-    coord_scale: float = ARCH_DEFAULTS["coord_scale"]
+    lam: float = ruled(LAMBDA, Rule(float, 0, 1))
+    epochs: int = ruled(10, Rule(int, 1))
+    batch_size: int = ruled(16, Rule(int, 1))
+    lr: float = ruled(1e-4, Rule(float, 0, open_low=True))
+    sigma0: float = ruled(0.01, Rule(float, 0))
+    purify: bool = ruled(True, Rule(bool))
+    seed: int = ruled(0, Rule(int, 0))
+    # architecture: the fields of nn.ARCH_DEFAULTS
+    k: int = _arch("k")
+    hidden: int = _arch("hidden")
+    flow_layers: int = _arch("flow_layers")
+    decoder_layers: int = _arch("decoder_layers")
+    identity_latent: bool = _arch("identity_latent")
+    coord_scale: float = _arch("coord_scale")
     # alignment during training
-    use_omt: bool = True
-    omt_iters: int = SINGLE_PASS.max_iters
-    omt_restarts: int = SINGLE_PASS.restarts
+    use_omt: bool = ruled(True, Rule(bool))
+    omt_iters: int = ruled(SINGLE_PASS.max_iters, Rule(int, 1))
+    omt_restarts: int = ruled(SINGLE_PASS.restarts, Rule(int, 1))
     # autoencoder
-    ae_epochs: int = 10
+    ae_epochs: int = ruled(10, Rule(int, 0))
     # reflow
-    reflow_pairs: int | None = None
-    reflow_epochs: int | None = None
-    fresh_reflow: bool = False
-    estimate_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(method="rk4", fixed_steps=40)
-    )
+    reflow_pairs: int | None = ruled(None, Rule(int, 1, null=True))
+    reflow_epochs: int | None = ruled(None, Rule(int, 0, null=True))
+    fresh_reflow: bool = ruled(False, Rule(bool))
+    estimate_solver: SolverConfig = ruled(SolverConfig(method="rk4", fixed_steps=40),
+                                          Rule(SolverConfig))
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-        _check_sizes(epochs=self.epochs, batch_size=self.batch_size, k=self.k,
-                     hidden=self.hidden, flow_layers=self.flow_layers,
-                     decoder_layers=self.decoder_layers, omt_iters=self.omt_iters,
-                     omt_restarts=self.omt_restarts)
-        if self.ae_epochs < 0 or (self.reflow_epochs is not None and self.reflow_epochs < 0):
-            raise ValueError("ae_epochs and reflow_epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be non-negative")
-        if not all(map(math.isfinite, (self.lr, self.sigma0, self.coord_scale))):
-            raise ValueError("lr, sigma0 and coord_scale must be finite")
-        if self.reflow_pairs is not None and self.reflow_pairs < 1:
-            raise ValueError("reflow_pairs must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check(field_rules(self), vars(self))
 
 
 @dataclass(frozen=True)
@@ -418,8 +404,7 @@ def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, se
 
 def generate(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed, threads=1):
     """Draw sizes, sample noise, integrate, decode. Deterministic per seed."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    Rule(int, 0).check("count", count)
     return [
         (decode(model, z1), steps)
         for _, z1, steps in _endpoints(model, size_sampler, count, solver, seed, threads)
@@ -429,8 +414,7 @@ def generate(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed
 def estimate_couplings(model, count, solver: SolverConfig, seed,
                        size_sampler: SizeSampler, threads=1) -> CouplingSet:
     """Pair each noise draw with its ODE endpoint (the estimated coupling)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    Rule(int, 1).check("count", count)
     return CouplingSet([
         CouplingPair(z0, z1, aligned=False, source="estimated")
         for z0, z1, _ in _endpoints(model, size_sampler, count, solver, seed, threads)
@@ -439,8 +423,7 @@ def estimate_couplings(model, count, solver: SolverConfig, seed,
 
 def random_couplings(model, dataset, count, seed) -> CouplingSet:
     """Independent (noise, encoded data) pairs: the random coupling baseline."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    Rule(int, 1).check("count", count)
     sigma0 = float(model.meta.get("sigma0", 0.0))
     rng = np.random.default_rng(seed)
     return CouplingSet([_draw_pair(model, dataset[int(rng.integers(len(dataset)))],

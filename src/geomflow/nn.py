@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import Rule, check
 from .geometry import Geometry, LatentGeometry, sample_noise
 
 GRAD_CHECK_PARAM_LIMIT = 5000
@@ -153,15 +152,6 @@ def _run_sums(vals, size):
 def _center_sets(vals, n):
     """Subtract from each set of n rows its mean."""
     return vals - np.repeat(_set_sums(vals, n) / n, n, axis=0)
-
-
-def _check_sizes(**sizes):
-    """The kind and range rule of the model's sizes (and of other counts
-    that must be at least 1): raises ValueError naming the first one that
-    is not an integer >= 1."""
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class DenseNet:
@@ -324,7 +314,7 @@ class VectorFieldModel:
 
     The constructor's arguments but `d` and `seed` are the architecture
     record (`ARCH_DEFAULTS`), which checkpoints store and training configs
-    carry.
+    carry; the constructor holds every argument but `seed` to `ARCH_RULES`.
     `blocks` maps each net, "enc", "dec" and "flow", to its blocks in
     forward order: an embed net, its equivariant layers and an out net.
     With `identity_latent` the model has no "enc" or "dec" net: encoding
@@ -344,13 +334,7 @@ class VectorFieldModel:
         coord_scale=1.0,
         seed=0,
     ):
-        _check_sizes(d=d, k=k, hidden=hidden, flow_layers=flow_layers,
-                     decoder_layers=decoder_layers)
-        if not isinstance(identity_latent, bool):
-            raise ValueError(f"identity_latent must be true or false, got {identity_latent!r}")
-        if (isinstance(coord_scale, bool) or not isinstance(coord_scale, numbers.Real)
-                or not math.isfinite(coord_scale)):
-            raise ValueError(f"coord_scale must be a finite number, got {coord_scale!r}")
+        check(ARCH_RULES, locals())
         if identity_latent:
             k = d
         self.d = d
@@ -504,6 +488,11 @@ ARCH_DEFAULTS = {
     for name, param in inspect.signature(VectorFieldModel).parameters.items()
     if name not in ("d", "seed")
 }
+# The rule of each architecture argument, `d` included: VectorFieldModel holds its
+# arguments to them, and training configs declare their architecture fields with them.
+ARCH_RULES = {**dict.fromkeys(("d", "k", "hidden", "flow_layers", "decoder_layers"),
+                              Rule(int, 1)),
+              "identity_latent": Rule(bool), "coord_scale": Rule(float)}
 
 
 def forward(model: VectorFieldModel, z: LatentGeometry, t: float, tape=None):

@@ -13,10 +13,11 @@ history and step count, and leaves the stack when it reaches t = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._rules import FieldError, Rule, check, field_rules, ruled
 
 METHODS = ("euler", "rk4", "adaptive")
 
@@ -53,21 +54,17 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "adaptive"
-    fixed_steps: int = 100
-    rtol: float = 1e-4
-    atol: float = 1e-5
-    max_steps: int = 10_000
-    init_step: float = 0.05
+    method: str = ruled("adaptive", Rule(str))
+    fixed_steps: int = ruled(100, Rule(int, 1))
+    rtol: float = ruled(1e-4, Rule(float, 0, open_low=True))
+    atol: float = ruled(1e-5, Rule(float, 0, open_low=True))
+    max_steps: int = ruled(10_000, Rule(int, 1))
+    init_step: float = ruled(0.05, Rule(float, 0, open_low=True))
 
     def __post_init__(self):
+        check(field_rules(self), vars(self))
         if self.method not in METHODS:
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if self.fixed_steps < 1 or self.max_steps < 1:
-            raise ValueError("step counts must be >= 1")
-        tolerances = (self.rtol, self.atol, self.init_step)
-        if not all(math.isfinite(v) and v > 0 for v in tolerances):
-            raise ValueError("solver tolerances must be positive and finite")
+            raise FieldError("method", f"{self.method!r} is an unknown solver method")
 
 
 def _weighted(w, k):

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomflow import cli, data, flow, nn, ode
+from geomflow import cli, costs, data, flow, nn, ode
+from geomflow._rules import field_rules
 from geomflow.geometry import sample_noise
 
 
@@ -289,6 +291,21 @@ class TestConfigChecks:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key, field",
+        [('{"lambda": 2}', "lambda", "lam"), ('{"estimate_solver": 3}', "estimate_solver", "method"),
+         ('{"estimate_solver": "midpoint"}', "estimate_solver", "method"),
+         ('{"estimate_steps": 0}', "estimate_steps", "fixed_steps")],
+    )
+    def test_error_names_the_config_key(self, tmp_path, capsys, text, key, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("train", "--data", tmp_path / "missing.jsonl", "--config", bad,
+                   "--out", tmp_path / "m.gflow.ckpt") == 1
+        err = capsys.readouterr().err
+        assert f"usage error: bad config: {key} " in err
+        assert f"{field} must be" not in err
 
     def test_reflow_checks_config_before_loading(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -598,7 +615,52 @@ class TestGendataSpecChecks:
         assert not out.exists()
 
 
+class TestEvalExact:
+    @staticmethod
+    def pairs_file(tmp_path, sizes):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "c.pairs.bin"
+        data.save_pairs(path, flow.CouplingSet([
+            flow.CouplingPair(sample_noise(n, 2, rng), sample_noise(n, 2, rng)) for n in sizes]))
+        return path
+
+    def test_oracle_report(self, tmp_path, capsys):
+        path = self.pairs_file(tmp_path, (3, 5, 5))
+        assert run("eval", "--pairs", path, "--exact") == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == costs.CSV_HEADER
+        cset = data.load_pairs(path)
+        assert row == costs.distribution_cost(cset, exact=True).csv_row()
+        assert float(row.split(",")[1]) <= costs.distribution_cost(cset).total_cost + 1e-9
+
+    def test_pair_above_the_oracle_limit_is_named_before_any_oracle_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = self.pairs_file(tmp_path, (4, 9, 5))
+        ran = []
+        monkeypatch.setattr(costs, "brute_force_omt", lambda *a, **k: ran.append(a))
+        assert run("eval", "--pairs", path, "--exact") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert ("error: pair 1 has 9 points, above the oracle size limit ORACLE_MAX_N = 8"
+                in captured.err)
+
+
 class TestReadmeConfigTable:
+    def test_rule_column_is_the_declared_rule(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `[^`]*` \| ([^|]*?) \|", readme, flags=re.MULTILINE)
+        declared = {
+            cli._KEYS.get(name, name): str(rule)
+            for record in (flow.TrainConfig, ode.SolverConfig, data.ValidityRule)
+            for name, rule in field_rules(record).items()
+            if not dataclasses.is_dataclass(rule.kind)
+        }
+        assert dict(rows) == declared
+        spec_rows = re.findall(r"^\| `(\w+)` \| ([^`|]*?) \|$", readme, flags=re.MULTILINE)
+        assert dict(spec_rows) == {
+            name: str(rule) for name, rule in field_rules(data.TemplateSpec).items()}
+
     def test_table_lists_every_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)

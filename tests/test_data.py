@@ -83,6 +83,21 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="spec inconsistent with validity rule"):
             make_dataset(spec, 50)
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [({"jitter_sigma": 5.0}, "max_radius 4 is not above 6 jitter_sigma, 30"),
+         ({"num_templates": 3, "atoms_per_template": (17, 23, 29), "jitter_sigma": 0.05},
+          "no 29-point template in 1000 draws has separation 0.65 "
+          "(min_pair_dist + 8 jitter_sigma) within radius 3.7 (max_radius - 6 jitter_sigma)"),
+         ({"feature_jitter": 0.5}, "only 5 of 39 jittered copies pass it, under half")],
+        ids=["radius", "template", "acceptance"],
+    )
+    def test_inconsistent_spec_names_the_failed_bound(self, over, message):
+        spec = small_spec(**{"seed": 0, **over})
+        with pytest.raises(ValueError) as err:
+            make_dataset(spec, 50)
+        assert str(err.value) == f"spec inconsistent with validity rule: {message}"
+
     def test_size_histogram_matches_template_frequencies(self):
         spec = small_spec(num_templates=2, atoms_per_template=(4, 6))
         geoms = make_dataset(spec, 1000)
