@@ -11,7 +11,9 @@ rotation, optionally alternating the two until the cost stops improving.
 Translation is handled implicitly by the zero-CoM precondition. One kernel
 runs every alternation: the starts of a pair, and the pairs of one size
 given to `solve_omt_batch`, are rows of one stacked state, each with the
-bits it would have alone.
+bits it would have alone. As in the stacked ODE solve, a pass works on the
+rows still alternating, and arrays indexed by row keep each row's best
+pass; a pair's result is the first best of its starts.
 
 `brute_force_omt` is the exact small-n oracle: it enumerates every
 permutation and solves the rotation subproblem in closed form, which is
@@ -184,12 +186,13 @@ def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
     """The alternation of b checked pairs of one size n, each from every
     start, as one state of R = b * restarts rows; `solve_omt` per pair.
 
-    A pass runs on the rows still active: one stacked rotate and (a, n, n)
-    cost, one `hungarian` per row, one stacked `kabsch` and the stacked
-    costs, each row summed over its flattened entries as a lone pair would
-    be. Each row keeps its own best and previous cost, and leaves the state
-    with its pass count once a pass improves its cost by less than
-    ALTERNATION_EPS. Per pair the first strict minimum over its starts wins.
+    A pass runs on the rows still alternating, `act`: one stacked rotate
+    and (a, n, n) cost, one `hungarian` per row, one stacked `kabsch` and
+    the stacked costs, each row summed over its flattened entries as a lone
+    pair would be. Arrays indexed by row keep each row's best pass and its
+    pass count. A row stops once a pass improves its cost by less than
+    ALTERNATION_EPS; the working arrays shrink on a pass where a row stops.
+    Per pair the first minimum over its starts wins.
     """
     b, s, n = len(z1s), restarts, z1s[0].n
     x1 = np.array([z.coords for z in z1s for _ in range(s)])
@@ -199,73 +202,55 @@ def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
     # The feature half of every pass's cost matrix.
     feat = (1.0 - lam) * _sq_dists(h1, h0)
     rot = _start_rotations(b, s)
-    rows = range(b * s)
-    ar = np.arange(b * s)[:, None]
-    # Per row that left the state: its best as (the list `best` of the
-    # rows active then, its position in them, its pass count).
-    done = [None] * (b * s)
+    act = np.arange(b * s)
+    ar = act[:, None]
+    passes = np.empty(b * s, np.intp)
     for it in range(max_iters):
-        a = len(rows)
+        a = len(act)
         m = lam * _sq_dists(x1 @ rot.swapaxes(-1, -2), x0) + feat
         perm = [hungarian(CostMatrix(mj)) for mj in m]
         at = (ar, np.array([p.map for p in perm]))
         x1p = x1[at]
-        if n >= 2:
-            rot = kabsch(x1p, x0)
-        else:
-            rot = np.broadcast_to(np.eye(3), (a, 3, 3))
+        rot = kabsch(x1p, x0) if n >= 2 else np.broadcast_to(np.eye(3), (a, 3, 3))
         x1a = x1p @ rot.swapaxes(-1, -2)
         sse_x = np.add.reduce(((x1a - x0) ** 2).reshape(a, -1), axis=1)
         sse_h = np.add.reduce(((h1[at] - h0) ** 2).reshape(a, -1), axis=1)
         cost = lam * sse_x + (1.0 - lam) * sse_h
-        # best: cost, rotation, aligned coordinates, the coordinate and
-        # feature sums of squares, permutation.
-        if it == 0:
-            best = [cost, rot, x1a, sse_x, sse_h, perm]
+        # Per row, its best pass: cost, rotation, aligned coordinates, the
+        # coordinate and feature sums of squares; and its `Permutation`.
+        if it == 0:  # copies: `cost` is also `prev`, `rot` is read-only
+            best, best_perm = [cost.copy(), np.array(rot), x1a, sse_x, sse_h], perm
         else:
-            won = cost < best[0]
-            best = [*(np.where(won.reshape((a,) + (1,) * (v.ndim - 1)), v, w)
-                      for v, w in zip((cost, rot, x1a, sse_x, sse_h), best)),
-                    [p if better else q for p, q, better in zip(perm, best[5], won)]]
-        # After the first pass (prev = inf) every row goes on; after the
-        # last none does.
+            won = cost < best[0][act]
+            rows = act[won]
+            for keep, now in zip(best, (cost, rot, x1a, sse_x, sse_h)):
+                keep[rows] = now[won]
+            for r, p in zip(rows, itertools.compress(perm, won)):
+                best_perm[r] = p
+        passes[act] = it + 1
         if it + 1 == max_iters:
-            leaving = range(a)
-        elif it == 0:
-            leaving = ()
-        else:
-            go = ~(prev - cost < ALTERNATION_EPS)
-            leaving = np.flatnonzero(~go)
-        for j in leaving:
-            done[rows[j]] = (best, j, it + 1)
-        if len(leaving) == a:
             break
+        if it:  # after the first pass every row goes on
+            go = ~(prev - cost < ALTERNATION_EPS)
+            if not go.any():
+                break
+            if not go.all():
+                act, ar = act[go], ar[:go.sum()]
+                cost, rot, x1, h1, x0, h0, feat = (
+                    v[go] for v in (cost, rot, x1, h1, x0, h0, feat))
         prev = cost
-        if len(leaving):
-            best = [*(v[go] for v in best[:5]), [q for q, g in zip(best[5], go) if g]]
-            rows = [r for r, g in zip(rows, go) if g]
-            ar = ar[:len(rows)]
-            prev, rot, x1, h1, x0, h0, feat = (
-                v[go] for v in (prev, rot, x1, h1, x0, h0, feat))
 
-    out = []
-    for p in range(b):
-        win = done[p * s]
-        for row in done[p * s + 1:(p + 1) * s]:
-            if row[0][0][row[1]] < win[0][0][win[1]]:
-                win = row
-        (cost, rot_w, x1a, sse_x, sse_h, perm), j, passes = win
-        perm = perm[j]
-        out.append(OmtSolution(
-            rotation=Rotation.of_checked(rot_w[j]),
-            permutation=perm,
-            aligned_target=LatentGeometry(n, x1a[j], z1s[p].features[perm.map]),
-            cost=float(cost[j]),
-            coord_cost=math.sqrt(sse_x[j]),
-            feature_cost=math.sqrt(sse_h[j]),
-            iterations=passes,
-        ))
-    return out
+    cost, rot, x1a, sse_x, sse_h = best
+    wins = [p * s + k for p, k in enumerate(cost.reshape(b, s).argmin(axis=1).tolist())]
+    return [OmtSolution(
+        rotation=Rotation.of_checked(rot[w]),
+        permutation=best_perm[w],
+        aligned_target=LatentGeometry(n, x1a[w], z1.features[best_perm[w].map]),
+        cost=float(cost[w]),
+        coord_cost=math.sqrt(sse_x[w]),
+        feature_cost=math.sqrt(sse_h[w]),
+        iterations=int(passes[w]),
+    ) for z1, w in zip(z1s, wins)]
 
 
 def solve_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA,

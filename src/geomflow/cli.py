@@ -186,6 +186,7 @@ def cmd_reflow(args) -> int:
     for rnd in range(args.rounds):
         t0 = time.perf_counter()
         round_conf = replace(tconf, seed=tconf.seed + rnd)
+        count = flow._reflow_count(model, round_conf)
         model, cset = flow.reflow(model, round_conf, validity, threads=args.threads)
         wall = time.perf_counter() - t0
         est = costs.distribution_cost(cset, lam=tconf.lam)
@@ -197,7 +198,8 @@ def cmd_reflow(args) -> int:
             base_set = _shuffled_baseline(cset)
         base = (f"{costs.distribution_cost(base_set, lam=tconf.lam).total_cost:.4f}"
                 if len(base_set) else "n/a")
-        kept_rate = sum(1 for p in cset if p.valid) / len(cset)
+        # The share of the round's estimated pairs that decoded valid, kept or not.
+        kept_rate = sum(1 for p in cset if p.valid) / count
         print(
             f"round {rnd + 1}: estimated-coupling cost {est.total_cost:.4f} "
             f"vs random-coupling cost {base} "

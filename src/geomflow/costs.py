@@ -4,9 +4,11 @@ The batch report follows the "sum of unsquared coordinate and feature norms"
 convention: `total_cost` is the Monte Carlo mean of
 ||dx||_F + ||dh||_F over aligned pairs, `per_atom_cost` divides the summed
 pair costs by the summed point counts, and lambda only steers which
-alignment is chosen, not how the report is added up. The report aligns
-the pairs of each point count together, as one stacked alternation
-(`alignment.solve_omt_batch`), with each pair's result unchanged.
+alignment is chosen, not how the report is added up. Every aligned cost
+runs through one path: the pairs are re-centered, then the oracle aligns
+each one (`exact`), or the pairs of each point count are aligned together
+as one stacked alternation (`alignment.solve_omt_batch`), with each pair's
+result unchanged. `optimal_molecule_cost` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 
 from ._rules import Rule, check, field_rules, ruled
-from .alignment import (LAMBDA, ORACLE_MAX_N, AlignBudget, brute_force_omt, solve_omt,
-                        solve_omt_batch)
-from .geometry import Geometry, LatentGeometry
+from .alignment import LAMBDA, ORACLE_MAX_N, AlignBudget, brute_force_omt, solve_omt_batch
+from .geometry import Geometry, LatentGeometry, _runs
 
 CSV_HEADER = "space,total_cost,per_atom_cost,coord_part,feature_part,num_pairs"
 # Reports alternate assignment and rotation from several starts.
@@ -77,7 +78,7 @@ def optimal_molecule_cost(g0, g1, lam: float = LAMBDA, exact: bool = False,
     translation). `exact` switches to the permutation-enumeration oracle
     (n <= 8); otherwise the Hungarian/Kabsch solver is used.
     """
-    return _align(_as_latent(g0), _as_latent(g1), lam, exact, max_iters, restarts)[0]
+    return _aligned([(_as_latent(g0), _as_latent(g1))], lam, exact, max_iters, restarts)[0][0]
 
 
 def _centered(z: LatentGeometry) -> LatentGeometry:
@@ -86,38 +87,27 @@ def _centered(z: LatentGeometry) -> LatentGeometry:
     return LatentGeometry(z.n, z.coords - z.coords.mean(axis=0), z.features)
 
 
-def _align(z0: LatentGeometry, z1: LatentGeometry, lam, exact, max_iters, restarts):
-    """(squared objective, ||dx||, ||dh||) of the re-centered pair, optimally
-    aligned by the oracle (`exact`) or by `solve_omt`."""
-    z0c, z1c = _centered(z0), _centered(z1)
+def _aligned(pairs, lam, exact, max_iters, restarts) -> list:
+    """(squared objective, ||dx||, ||dh||) of each re-centered (z0, z1) pair,
+    in order, optimally aligned by the oracle (`exact`) or by
+    `solve_omt_batch` over the pairs of each point count and feature width,
+    in runs of at most BATCH_ENTRIES stacked cost-matrix entries (rows * n^2)."""
+    pairs = [(_centered(z0), _centered(z1)) for z0, z1 in pairs]
+    out = [None] * len(pairs)
     if exact:
-        cost, perm, rot = brute_force_omt(z1c, z0c, lam)
-        dx = z1c.coords[perm.map] @ rot.r.T - z0c.coords
-        dh = z1c.features[perm.map] - z0c.features
-        return float(cost), float(np.linalg.norm(dx)), float(np.linalg.norm(dh))
-    sol = solve_omt(z1c, z0c, lam, max_iters=max_iters, restarts=restarts)
-    return float(sol.cost), sol.coord_cost, sol.feature_cost
-
-
-def _norms_grouped(pairs, lam, max_iters, restarts) -> list:
-    """(||dx||, ||dh||) of each re-centered pair, in order, aligned by
-    `solve_omt_batch` over the pairs of each point count (and feature
-    width), in chunks of at most BATCH_ENTRIES stacked cost-matrix entries
-    (rows * n^2)."""
-    groups: dict = {}
-    for i, p in enumerate(pairs):
-        groups.setdefault((p.z0.n, p.z0.k), []).append(i)
-    norms = [None] * len(pairs)
-    for (n, _), idx in groups.items():
-        chunk = max(1, BATCH_ENTRIES // (restarts * n * n))
-        for lo in range(0, len(idx), chunk):
-            part = idx[lo:lo + chunk]
-            sols = solve_omt_batch([_centered(pairs[i].z1) for i in part],
-                                   [_centered(pairs[i].z0) for i in part],
-                                   lam, max_iters=max_iters, restarts=restarts)
-            for i, sol in zip(part, sols):
-                norms[i] = (sol.coord_cost, sol.feature_cost)
-    return norms
+        for i, (z0, z1) in enumerate(pairs):
+            cost, perm, rot = brute_force_omt(z1, z0, lam)
+            dx = z1.coords[perm.map] @ rot.r.T - z0.coords
+            dh = z1.features[perm.map] - z0.features
+            out[i] = float(cost), float(np.linalg.norm(dx)), float(np.linalg.norm(dh))
+        return out
+    for run in _runs([(z0.n, z0.k) for z0, _ in pairs], BATCH_ENTRIES,
+                     lambda key: restarts * key[0] ** 2):
+        sols = solve_omt_batch([pairs[i][1] for i in run], [pairs[i][0] for i in run],
+                               lam, max_iters=max_iters, restarts=restarts)
+        for i, sol in zip(run, sols):
+            out[i] = sol.cost, sol.coord_cost, sol.feature_cost
+    return out
 
 
 def distribution_cost(pairs, lam: float = LAMBDA, exact: bool = False,
@@ -143,13 +133,9 @@ def distribution_cost(pairs, lam: float = LAMBDA, exact: bool = False,
         if exact and p.z0.n > ORACLE_MAX_N:
             raise ValueError(f"pair {i} has {p.z0.n} points, above the oracle size limit "
                              f"ORACLE_MAX_N = {ORACLE_MAX_N}")
-    if exact:
-        norms = [_align(p.z0, p.z1, lam, True, max_iters, restarts)[1:] for p in pair_list]
-    else:
-        norms = _norms_grouped(pair_list, lam, max_iters, restarts)
-    coord = [c for c, _ in norms]
-    feat = [f for _, f in norms]
-    total = [c + f for c, f in norms]
+    _, coord, feat = zip(*_aligned([(p.z0, p.z1) for p in pair_list], lam, exact,
+                                   max_iters, restarts))
+    total = [c + f for c, f in zip(coord, feat)]
     atoms = sum(p.z0.n for p in pair_list)
     num = len(pair_list)
     return CostReport(

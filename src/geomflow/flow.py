@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rules import Rule, check, field_rules, ruled
 from .alignment import LAMBDA, SINGLE_PASS, solve_omt
-from .geometry import LatentGeometry, sample_noise
+from .geometry import LatentGeometry, _runs, sample_noise
 from .nn import (
     ARCH_DEFAULTS,
     ARCH_RULES,
@@ -139,16 +139,21 @@ class SizeSampler:
 
     @classmethod
     def from_histogram(cls, hist: dict) -> "SizeSampler":
-        """From a map of point counts (ints or their decimal strings) to
-        positive integer counts."""
+        """From a map of point counts (integers >= 1, or their `str`) to
+        integer counts >= 1."""
         if not isinstance(hist, dict) or not hist:
             raise ValueError("size histogram must be a non-empty object")
-        items = sorted((int(n), c) for n, c in hist.items())
+        positive, items = Rule(int, 1), []
+        for key, c in hist.items():
+            n = int(key) if isinstance(key, str) and key.isdecimal() else key
+            if str(n) != str(key) or not positive.admits(n):
+                raise ValueError(f"size histogram size must be {positive} or its string, "
+                                 f"got {key!r}")
+            items.append((int(n), positive.check("size histogram count", c)))
+        items.sort()
         sizes = [n for n, _ in items]
-        if sizes[0] < 1 or len(set(sizes)) < len(sizes):
-            raise ValueError("size histogram sizes must be distinct and >= 1")
-        if any(isinstance(c, bool) or not isinstance(c, int) or c < 1 for _, c in items):
-            raise ValueError("size histogram counts must be positive integers")
+        if len(set(sizes)) < len(sizes):
+            raise ValueError("size histogram sizes must be distinct")
         counts = np.array([c for _, c in items], float)
         return cls(tuple(sizes), tuple(counts / counts.sum()))
 
@@ -336,15 +341,7 @@ _STACK_EDGES = 4096
 def _stacks(draws):
     """Indices of `draws` in solve order, split into stacks of one point
     count with at most _STACK_EDGES edges (or one draw)."""
-    groups: dict = {}
-    for i, z in enumerate(draws):
-        groups.setdefault(z.n, []).append(i)
-    stacks = []
-    for idx in groups.values():
-        n = draws[idx[0]].n
-        size = max(1, _STACK_EDGES // max(1, n * (n - 1)))
-        stacks += [idx[start : start + size] for start in range(0, len(idx), size)]
-    return stacks
+    return _runs([z.n for z in draws], _STACK_EDGES, lambda n: max(1, n * (n - 1)))
 
 
 def _solve_draws(model, draws, solver: SolverConfig, threads=1):
@@ -430,6 +427,14 @@ def random_couplings(model, dataset, count, seed) -> CouplingSet:
                                    sigma0, rng) for _ in range(count)])
 
 
+def _reflow_count(model: VectorFieldModel, config: TrainConfig) -> int:
+    """The pairs a reflow round estimates: `reflow_pairs`, or by default ten
+    per training geometry."""
+    if config.reflow_pairs is not None:
+        return config.reflow_pairs
+    return 10 * int(model.meta.get("train_size", 100))
+
+
 def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     """One round: estimate couplings, purify, re-align, and fine-tune.
 
@@ -438,9 +443,7 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     predicate accepted.
     """
     sampler = SizeSampler.from_meta(model.meta)
-    count = config.reflow_pairs
-    if count is None:
-        count = 10 * int(model.meta.get("train_size", 100))
+    count = _reflow_count(model, config)
 
     # Streams are keyed (seed, purpose, 0); `reflow --rounds` varies the seed.
     est = estimate_couplings(

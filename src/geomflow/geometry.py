@@ -166,6 +166,19 @@ class Permutation:
         return Permutation(inv)
 
 
+def _runs(keys, cap: int, per_item) -> list:
+    """The indices of `keys` grouped by key in first-seen order, each group
+    cut into runs of at most max(1, cap // per_item(key)) indices."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    runs = []
+    for key, idx in groups.items():
+        size = max(1, cap // per_item(key))
+        runs += [idx[lo : lo + size] for lo in range(0, len(idx), size)]
+    return runs
+
+
 def center_of_mass(coords) -> np.ndarray:
     """Arithmetic mean of the coordinate rows."""
     coords = np.asarray(coords, dtype=np.float64)

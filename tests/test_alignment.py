@@ -385,10 +385,18 @@ class TestStackedAlignmentKernel:
 
     def test_report_budget_on_planted_and_independent_pairs(self):
         for n in (1, 2, 5, 13, 29):
+            pairs = []
             for planted in (False, True):
                 for z1, z0 in draw_pairs(n, n, 4, 2, planted):
                     ref = solve_omt_per_start(z1, z0, 0.5, 20, 4)
                     assert_same_bits(solve_omt(z1, z0, 0.5, max_iters=20, restarts=4), ref, z1)
+                    pairs.append((z1, z0, ref))
+            # all of one size in one stack, whose rows stop at different passes
+            batch = solve_omt_batch([z1 for z1, _, _ in pairs], [z0 for _, z0, _ in pairs],
+                                    0.5, max_iters=20, restarts=4)
+            for (z1, _, ref), sol in zip(pairs, batch, strict=True):
+                assert_same_bits(sol, ref, z1)
+            assert n < 5 or len({sol.iterations for sol in batch}) > 1
 
     def test_batch_rejects_mixed_sizes_and_uncentred_pairs(self):
         (a1, a0), = draw_pairs(0, 4, 2, 1, False)

@@ -535,6 +535,38 @@ class TestFlagChecks:
         assert not out.exists()
 
 
+class TestRetainedValidity:
+    """`retained validity` is the share of a round's estimated pairs whose
+    decoded geometry passed the rule, whether purification kept them or not."""
+
+    @pytest.mark.parametrize("pairs", [30, None], ids=["pairs-flag", "default-count"])
+    def test_purify_on_and_off_print_the_same_share(self, tmp_path, spec_file, config_file,
+                                                    capsys, pairs):
+        ds, ckpt = tmp_path / "ds.geoms.jsonl", tmp_path / "m.gflow.ckpt"
+        run("gendata", "--spec", spec_file, "--count", 20, "--out", ds)
+        assert run("train", "--data", ds, "--config", config_file, "--out", ckpt) == 0
+        config, flags, count = config_file, ["--pairs", pairs], pairs
+        if pairs is None:  # ten pairs per training geometry
+            config = tmp_path / "default.json"
+            config.write_text(json.dumps({key: value for key, value
+                                          in json.loads(config_file.read_text()).items()
+                                          if key != "reflow_pairs"}))
+            flags, count = [], 10 * 20
+        kept, printed, rows = {}, {}, {}
+        for purify in ("on", "off"):
+            capsys.readouterr()
+            metrics = tmp_path / f"{purify}.csv"
+            assert run("reflow", "--ckpt", ckpt, *flags, "--purify", purify, "--config", config,
+                       "--out", tmp_path / f"{purify}.gflow.ckpt", "--metrics", metrics) == 0
+            line = re.search(r"\((\d+) pairs, retained validity ([0-9.]+)\)",
+                             capsys.readouterr().out)
+            kept[purify], printed[purify] = int(line.group(1)), line.group(2)
+            rows[purify] = float(data.read_metrics(metrics)[0]["validity_rate"])
+        assert kept["off"] == count and 0 < kept["on"] < count
+        assert printed["on"] == printed["off"] == f"{kept['on'] / count:.3f}"
+        assert rows["on"] == rows["off"] == kept["on"] / count < 1
+
+
 class TestShuffledBaseline:
     @staticmethod
     def pairs(sizes):

@@ -78,6 +78,13 @@ class TestOptimalMoleculeCost:
         ).sum()
         assert optimal_molecule_cost(g0, g1) <= identity + 1e-12
 
+    def test_equals_solve_omt_cost_on_a_centred_pair(self):
+        # the one-pair case of the stacked report path
+        g0, g1 = random_latent(12, n=9, k=3), random_latent(13, n=9, k=3)
+        for budget in ({}, {"max_iters": 1, "restarts": 1}):
+            want = solve_omt(g1, g0, 0.5, **({"max_iters": 20, "restarts": 4} | budget)).cost
+            assert optimal_molecule_cost(g0, g1, 0.5, **budget) == want
+
     def test_recentering_makes_translation_free(self):
         g0 = random_geometry(11)
         g1 = Geometry(g0.n, g0.coords + np.array([5.0, -1.0, 2.0]), g0.features)

@@ -389,9 +389,11 @@ class TestMalformedHeaders:
         "meta",
         [{"rule": {"bogus": 1}}, {"rule": {"min_pair_dist": "x"}}, {"rule": 3},
          {"rule": {"min_pair_dist": 5.0}}, {"size_hist": [5]}, {"size_hist": {"5": -1}},
-         {"size_hist": {"5": 0.5}}, {"size_hist": {"a": 1}}, {"size_hist": {}}],
+         {"size_hist": {"5": 0.5}}, {"size_hist": {"a": 1}}, {"size_hist": {}},
+         {"size_hist": {"5_0": 1}}],
         ids=["unknown-rule-key", "string-rule-value", "number-rule", "rule-range",
-             "list-hist", "negative-count", "float-count", "non-numeric-size", "empty-hist"],
+             "list-hist", "negative-count", "float-count", "non-numeric-size", "empty-hist",
+             "underscored-size"],
     )
     def test_malformed_meta_record(self, tmp_path, meta):
         model = VectorFieldModel(d=3, k=2, hidden=4, flow_layers=1, seed=0)

@@ -378,9 +378,12 @@ class TestSizeSampler:
     @pytest.mark.parametrize(
         "hist",
         [[5], {"5": -1}, {"5": 0}, {"5": 1.5}, {"5": True}, {"5": "2"}, {"x": 1},
-         {"0": 1}, {"5": 1, "05": 2}],
+         {"0": 1}, {"5": 1, "05": 2}, {"5_0": 1}, {"+6": 2}, {5.9: 1}, {True: 1},
+         {5: 1, "5": 2}],
         ids=["list", "negative-count", "zero-count", "float-count", "bool-count",
-             "string-count", "non-numeric-size", "zero-size", "repeated-size"],
+             "string-count", "non-numeric-size", "zero-size", "repeated-size",
+             "underscored-size", "signed-size", "float-size", "bool-size",
+             "size-as-int-and-string"],
     )
     def test_rejects_malformed_histograms(self, hist):
         with pytest.raises(ValueError):
