@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -19,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from . import alignment, costs, data, flow, geometry, nn, ode
+from . import _checks, alignment, costs, data, flow, ode
 from ._rules import FieldError, Rule, field_rules
 
 
@@ -259,230 +258,28 @@ def cmd_eval(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# self-test suites
+# self-test
 
-
-def _check(checks, name, ok, detail=""):
-    checks.append((name, bool(ok), detail))
-    return ok
-
-
-def suite_align():
-    checks = []
-    rng = np.random.default_rng(11)
-
-    exact = 0
-    for _ in range(60):
-        n = int(rng.integers(2, 8))
-        m = rng.random((n, n))
-        perm = alignment.hungarian(alignment.CostMatrix(m))
-        got = m[perm.map, np.arange(n)].sum()
-        best = min(
-            m[list(p), np.arange(n)].sum() for p in itertools.permutations(range(n))
-        )
-        exact += got == best
-    _check(checks, "hungarian-vs-enumeration", exact == 60, f"{exact}/60 exact")
-
-    worst = 0.0
-    for _ in range(30):
-        n = int(rng.integers(3, 9))
-        x = rng.standard_normal((n, 3))
-        x -= x.mean(axis=0)
-        rot = geometry.rotation_from_rng(rng)
-        est = alignment.kabsch(x @ rot.r.T, x)
-        worst = max(worst, float(np.linalg.norm(est.r - rot.r.T)))
-    _check(checks, "kabsch-planted-rotation", worst < 1e-9, f"max dev {worst:.2e}")
-
-    dominated = True
-    for _ in range(5):
-        n = int(rng.integers(3, 8))
-        a = rng.standard_normal((n, 3))
-        b = rng.standard_normal((n, 3))
-        a -= a.mean(axis=0)
-        b -= b.mean(axis=0)
-        best = alignment.kabsch(a, b)
-        ours = ((a @ best.r.T - b) ** 2).sum()
-        qs, _ = np.linalg.qr(rng.standard_normal((2000, 3, 3)))
-        trial = ((np.einsum("rij,nj->rni", qs, a) - b) ** 2).sum(axis=(1, 2)).min()
-        dominated &= ours <= trial + 1e-12
-    _check(checks, "kabsch-random-rotation-oracle", dominated, "5x2000 rotations")
-
-    agree, below = 0, 0.0
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        z1 = flow.sample_noise(n, 2, rng)
-        z0 = flow.sample_noise(n, 2, rng)
-        sol = alignment.solve_omt(z1, z0, max_iters=30, restarts=32)
-        oracle, _, _ = alignment.brute_force_omt(z1, z0)
-        agree += abs(sol.cost - oracle) <= 1e-8
-        below = max(below, oracle - sol.cost)
-    _check(
-        checks,
-        "solve-omt-vs-oracle",
-        agree >= 38 and below <= 1e-9,
-        f"{agree}/40 within 1e-8, max undershoot {below:.1e}",
-    )
-
-    dev = 0.0
-    for _ in range(20):
-        n = int(rng.integers(3, 6))
-        z1 = flow.sample_noise(n, 2, rng)
-        z0 = flow.sample_noise(n, 2, rng)
-        base, _, _ = alignment.brute_force_omt(z1, z0)
-        rot = geometry.rotation_from_rng(rng)
-        perm = rng.permutation(n)
-        x = (z1.coords @ rot.r.T + rng.standard_normal(3))[perm]
-        z1t = geometry.LatentGeometry(n, x - x.mean(axis=0), z1.features[perm])
-        moved, _, _ = alignment.brute_force_omt(z1t, z0)
-        dev = max(dev, abs(moved - base))
-    _check(checks, "oracle-transform-invariance", dev <= 1e-8, f"max dev {dev:.1e}")
-    return checks
-
-
-def suite_nn():
-    checks = []
-    rng = np.random.default_rng(23)
-
-    rot_dev, feat_dev, com_dev, perm_exact = 0.0, 0.0, 0.0, True
-    for draw in range(10):
-        model = nn.VectorFieldModel(
-            d=2, k=2, hidden=12, flow_layers=2, identity_latent=True, seed=100 + draw
-        )
-        n = int(rng.integers(3, 8))
-        z = flow.sample_noise(n, 2, rng)
-        t = float(rng.uniform())
-        v = model.velocity(z, t)
-        rot = geometry.rotation_from_rng(rng)
-        zr = geometry.LatentGeometry(n, z.coords @ rot.r.T, z.features)
-        vr = model.velocity(zr, t)
-        rot_dev = max(rot_dev, float(np.abs(vr.coords - v.coords @ rot.r.T).max()))
-        feat_dev = max(feat_dev, float(np.abs(vr.features - v.features).max()))
-        com_dev = max(com_dev, float(np.abs(v.coords.mean(axis=0)).max()))
-        perm = rng.permutation(n)
-        zp = geometry.LatentGeometry(n, z.coords[perm], z.features[perm])
-        vp = model.velocity(zp, t)
-        perm_exact &= np.array_equal(vp.coords, v.coords[perm]) and np.array_equal(
-            vp.features, v.features[perm]
-        )
-    _check(checks, "rotation-equivariance", rot_dev <= 1e-7, f"max dev {rot_dev:.1e}")
-    _check(checks, "feature-invariance", feat_dev <= 1e-7, f"max dev {feat_dev:.1e}")
-    _check(checks, "zero-com-velocity", com_dev <= 1e-9, f"max CoM {com_dev:.1e}")
-    _check(checks, "permutation-exactness", perm_exact, "bitwise")
-
-    worst = 0.0
-    for seed in (0, 1):
-        rep = nn.grad_check(
-            lambda: nn.VectorFieldModel(
-                d=2, k=2, hidden=6, flow_layers=2, identity_latent=True, seed=5
-            ),
-            tolerance=1e-4,
-            seed=seed,
-        )
-        worst = max(worst, rep.max_rel_err)
-    _check(checks, "gradient-check", worst <= 1e-4, f"max rel err {worst:.1e}")
-
-    w = rng.standard_normal((3, 4))
-    x = rng.standard_normal((6, 4))
-    y = rng.standard_normal((6, 3))
-    net = nn.DenseNet([4, 3], np.random.default_rng(0))
-    net.weights[0][...] = w
-    net.biases[0][...] = 0.0
-    tape = []
-    pred = net.forward(x, tape)
-    net.zero_grads()
-    net.backward(2.0 * (pred - y), tape)
-    closed = 2.0 * (x @ w.T - y).T @ x
-    dev = float(np.abs(net.grad_w[0] - closed).max())
-    _check(checks, "dense-closed-form-gradient", dev <= 1e-9, f"max dev {dev:.1e}")
-    return checks
-
-
-def suite_flow():
-    checks = []
-    rng = np.random.default_rng(37)
-
-    c = rng.standard_normal(12)
-    y0 = rng.standard_normal(12)
-    y1, _ = ode.integrate(lambda t, y: c, y0, ode.SolverConfig("euler", fixed_steps=7))
-    # Seven rounded steps of h = 1/7 need not sum to y0 + c exactly; they
-    # must equal the same seven steps taken by hand, bit for bit.
-    y = y0
-    for _ in range(7):
-        y = y + (1 / 7) * c
-    dev = float(np.abs(y1 - (y0 + c)).max())
-    _check(checks, "euler-constant-field-exact", np.array_equal(y1, y) and dev <= 1e-14,
-           f"bitwise, max dev from y0 + c {dev:.1e}")
-
-    a = 0.6
-    y1, _ = ode.integrate(
-        lambda t, y: a * y, y0, ode.SolverConfig("rk4", fixed_steps=200)
-    )
-    dev = float(np.abs(y1 - y0 * np.exp(a)).max())
-    _check(checks, "rk4-linear-field", dev <= 1e-10, f"max dev {dev:.1e}")
-
-    z0 = flow.sample_noise(5, 2, rng)
-    z1 = flow.sample_noise(5, 2, rng)
-    ok = (
-        np.array_equal(flow.interpolate(z0, z1, 0.0).coords, z0.coords)
-        and np.array_equal(flow.interpolate(z0, z1, 1.0).features, z1.features)
-    )
-    _check(checks, "interpolate-endpoints", ok, "")
-
-    com = max(
-        float(np.abs(flow.sample_noise(6, 2, s).coords.mean(axis=0)).max())
-        for s in range(50)
-    )
-    _check(checks, "noise-zero-com", com <= 1e-12, f"max CoM {com:.1e}")
-
-    spec = data.TemplateSpec(
-        num_templates=2, atoms_per_template=(4, 5), feature_classes=3,
-        jitter_sigma=0.03, seed=5,
-    )
-    dataset = data.make_dataset(spec, 120)
-    conf = flow.TrainConfig(
-        epochs=4, batch_size=16, lr=2e-3, sigma0=0.01, seed=3,
-        k=3, hidden=16, flow_layers=2, identity_latent=True,
-        estimate_solver=ode.SolverConfig("rk4", fixed_steps=30),
-    )
-    model, losses = flow.train(dataset, conf)
-    sampler = flow.SizeSampler.from_dataset(dataset)
-    est = flow.estimate_couplings(model, 150, conf.estimate_solver, 17, sampler)
-    rand = flow.random_couplings(model, dataset, 150, 18)
-    est_costs = [
-        costs.optimal_molecule_cost(p.z0, p.z1, max_iters=10, restarts=2) for p in est
-    ]
-    rand_costs = [
-        costs.optimal_molecule_cost(p.z0, p.z1, max_iters=10, restarts=2) for p in rand
-    ]
-    se = float(
-        np.sqrt(np.var(est_costs) / len(est_costs) + np.var(rand_costs) / len(rand_costs))
-    )
-    gap = float(np.mean(est_costs) - np.mean(rand_costs))
-    _check(
-        checks,
-        "estimated-coupling-cost-monotone",
-        gap <= 2 * se,
-        f"estimated {np.mean(est_costs):.3f} vs random {np.mean(rand_costs):.3f} (2se {2 * se:.3f})",
-    )
-    _check(
-        checks,
-        "training-loss-decreases",
-        np.mean(losses[-10:]) < np.mean(losses[:10]),
-        f"{np.mean(losses[:10]):.3f} -> {np.mean(losses[-10:]):.3f}",
-    )
-    return checks
+# Each suite's checks, from geomflow._checks, with the small sizes selftest
+# passes; the acceptance tests pass the criteria's own sizes.
+SELFTEST = {
+    "align": ((_checks.assignment_exactness, 60), (_checks.rotation_optimality, 30, 2000),
+              (_checks.omt_oracle_agreement, 40), (_checks.transform_invariance, 20)),
+    "nn": ((_checks.equivariance, 10), (_checks.gradient_correctness, 2),
+           (_checks.dense_closed_form_gradient,)),
+    "flow": ((_checks.synthetic_fields,), (_checks.interpolate_endpoints,),
+             (_checks.noise_zero_com, 50), (_checks.trained_couplings, 150)),
+}
 
 
 def cmd_selftest(args) -> int:
-    suites = {"align": suite_align, "nn": suite_nn, "flow": suite_flow}
-    names = list(suites) if args.suite == "all" else [args.suite]
     failed = 0
-    for name in names:
-        for check, ok, detail in suites[name]():
-            status = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail else ""
-            print(f"[{name}] {check}: {status}{suffix}")
-            failed += not ok
+    for suite in SELFTEST if args.suite == "all" else [args.suite]:
+        for check, *sizes in SELFTEST[suite]:
+            for name, ok, detail in check(*sizes).checks:
+                suffix = f" ({detail})" if detail else ""
+                print(f"[{suite}] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
+                failed += not ok
     if failed:
         print(f"{failed} self-test check(s) failed")
         return 3
@@ -565,7 +362,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument("--suite", choices=("align", "nn", "flow", "all"), default="all")
+    p.add_argument("--suite", choices=(*SELFTEST, "all"), default="all")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -287,32 +287,36 @@ _META_RULES = {"train_size": Rule(int, 1), "sigma0": field_rules(TrainConfig)["s
 
 
 def load_checkpoint(path) -> VectorFieldModel:
+    """The model in `path`. Its parameter count, from the architecture record,
+    is checked against the header and the file size before anything is built."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         header = _read_header(f, path, "checkpoint", CKPT_VERSION)
         arch = header.get("arch")
         if not isinstance(arch, dict):
             raise MalformedFileError(f"{path}: architecture record is not a JSON object")
         try:
-            model = VectorFieldModel.from_arch(arch)
-            if "size_hist" in model.meta:
-                SizeSampler.from_meta(model.meta)
-            ValidityRule.from_meta(model.meta)
-            check(_META_RULES, model.meta)
+            count = VectorFieldModel.count_params(arch)
+            meta = dict(arch.get("meta", {}))
+            if "size_hist" in meta:
+                SizeSampler.from_meta(meta)
+            ValidityRule.from_meta(meta)
+            check(_META_RULES, meta)
         except (TypeError, ValueError) as e:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
-        if header.get("param_count") != model.param_count:
+        if header.get("param_count") != count:
             raise MalformedFileError(f"{path}: parameter count mismatch in header")
-        blob = f.read()
-    expected = model.param_count * 8
-    if len(blob) < expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} parameter bytes, found {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise MalformedFileError(f"{path}: trailing bytes after parameters")
+        expected = count * 8
+        if f.tell() + expected < size:
+            raise MalformedFileError(f"{path}: trailing bytes after parameters")
+        blob = _read_exact(f, expected, size, path, f"{expected} parameter bytes")
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if not np.isfinite(params).all():
         raise MalformedFileError(f"{path}: non-finite parameter values")
+    try:
+        model = VectorFieldModel.from_arch(arch)  # only a bad `seed` fails here
+    except (TypeError, ValueError) as e:
+        raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
     model.set_flat(params)
     return model
 

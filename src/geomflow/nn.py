@@ -224,6 +224,25 @@ class DenseNet:
         return [self]
 
 
+def _layer_widths(width):
+    """The widths of an EquivariantLayer's edge, coord and node nets, in build order."""
+    return [2 * width + 1, width, width], [width, width, 1], [2 * width, width, width]
+
+
+def _dense_count(widths) -> int:
+    """The parameter count of a DenseNet of `widths`."""
+    return sum((i + 1) * o for i, o in zip(widths, widths[1:]))
+
+
+def _net_widths(d, k, flow_layers, decoder_layers, identity_latent, **_):
+    """Each net's (input width, equivariant layers, output width), in build
+    order, from a VectorFieldModel's arguments."""
+    k = d if identity_latent else k
+    nets = {} if identity_latent else {"enc": (d, 1, k), "dec": (k, decoder_layers, d)}
+    nets["flow"] = (k + 1, flow_layers, k)
+    return nets
+
+
 class EquivariantLayer:
     """One message-passing update on the fully connected point graph.
 
@@ -236,13 +255,12 @@ class EquivariantLayer:
     def __init__(self, width, rng, coord_scale=1.0):
         self.width = width
         self.coord_scale = coord_scale
-        self.edge_net = DenseNet([2 * width + 1, width, width], rng)
-        self.coord_net = DenseNet([width, width, 1], rng)
+        self.edge_net, self.coord_net, self.node_net = (
+            DenseNet(widths, rng) for widths in _layer_widths(width))
         # Scales the initial coordinate updates down tenfold. This does not
         # make fresh models integrable at the CLI's widths: their features
         # grow with n through the summed messages (ROADMAP, open item 1).
         self.coord_net.weights[-1] *= 0.1
-        self.node_net = DenseNet([2 * width, width, width], rng)
 
     def forward(self, x, h, tape=None, n=None):
         """Update b stacked sets of n points; x and h hold b*n rows, set by
@@ -353,9 +371,8 @@ class VectorFieldModel:
                     *(EquivariantLayer(hidden, rng, coord_scale) for _ in range(layers)),
                     DenseNet([hidden, width_out], rng)]
 
-        self.blocks = {} if identity_latent else {
-            "enc": build(d, 1, k), "dec": build(k, decoder_layers, d)}
-        self.blocks["flow"] = build(k + 1, flow_layers, k)
+        self.blocks = {net: build(*widths) for net, widths in
+                       _net_widths(d, k, flow_layers, decoder_layers, identity_latent).items()}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -396,6 +413,18 @@ class VectorFieldModel:
         """`d`, the architecture record (with the effective `k`), `meta`."""
         return {"d": self.d, **{name: getattr(self, name) for name in ARCH_DEFAULTS},
                 "meta": self.meta}
+
+    @classmethod
+    def count_params(cls, arch: dict) -> int:
+        """The `param_count` of `from_arch(arch)`, from its widths alone, so
+        nothing is allocated. Raises as `from_arch` does on a bad key or field."""
+        args = inspect.signature(cls).bind(**{key: v for key, v in arch.items() if key != "meta"})
+        args.apply_defaults()
+        check(ARCH_RULES, args.arguments)
+        hidden = args.arguments["hidden"]
+        layer = sum(_dense_count(widths) for widths in _layer_widths(hidden))
+        return sum(_dense_count([w_in, hidden]) + layers * layer + _dense_count([hidden, w_out])
+                   for w_in, layers, w_out in _net_widths(**args.arguments).values())
 
     @classmethod
     def from_arch(cls, arch: dict) -> "VectorFieldModel":

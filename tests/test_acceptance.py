@@ -7,17 +7,18 @@ alignment/flow machinery rather than autoencoder fit quality; the trained
 autoencoder path is exercised in the unit suites.
 """
 
-import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from geomflow import cli, data
-from geomflow.alignment import CostMatrix, brute_force_omt, cost_matrix, hungarian, kabsch, solve_omt
-from geomflow.costs import distribution_cost, optimal_molecule_cost
+from geomflow import _checks, cli, data
+from geomflow.alignment import cost_matrix, solve_omt
+from geomflow.costs import distribution_cost
 from geomflow.flow import (
     CouplingPair,
+    CouplingSet,
     SizeSampler,
     TrainConfig,
     _solve_draws,
@@ -30,9 +31,9 @@ from geomflow.flow import (
     sample_noise,
     train,
 )
-from geomflow.geometry import LatentGeometry, random_rotation, rotation_from_rng
-from geomflow.nn import AdamState, VectorFieldModel, adam_step, forward, grad_check
-from geomflow.ode import SolverConfig, integrate
+from geomflow.geometry import LatentGeometry
+from geomflow.nn import AdamState, VectorFieldModel, adam_step, decode, forward
+from geomflow.ode import SolverConfig
 
 FIXTURE_SPEC = data.TemplateSpec(
     num_templates=4,
@@ -78,7 +79,7 @@ def rule():
 @pytest.fixture(scope="module")
 def trained(dataset):
     model, losses = train(dataset, TRAIN_CONF)
-    assert np.mean(losses[-100:]) < np.mean(losses[:100])
+    assert _checks.loss_decreases(losses, 100).ok
     return model
 
 
@@ -86,14 +87,9 @@ def trained(dataset):
 def estimated_1000(trained, rule):
     sampler = SizeSampler.from_histogram(trained.meta["size_hist"])
     cset = estimate_couplings(trained, 1000, TRAIN_CONF.estimate_solver, 5, sampler)
-    from dataclasses import replace
-    from geomflow.nn import decode
-
     flagged = [
         replace(p, valid=data.is_valid(decode(trained, p.z1), rule)[0]) for p in cset
     ]
-    from geomflow.flow import CouplingSet
-
     return CouplingSet(flagged)
 
 
@@ -109,183 +105,75 @@ def reflowed(trained, rule):
 
 
 def test_c01_assignment_exactness():
-    rng = np.random.default_rng(101)
-    perms_by_n = {
-        n: np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        for n in range(2, 8)
-    }
     t0 = time.perf_counter()
-    for _ in range(500):
-        n = int(rng.integers(2, 8))
-        m = rng.random((n, n))
-        perm = hungarian(CostMatrix(m))
-        achieved = m[perm.map, np.arange(n)].sum()
-        best = m[perms_by_n[n], np.arange(n)].sum(axis=1).min()
-        assert achieved == best  # exact, zero tolerance
+    r = _checks.assignment_exactness(500)
     elapsed = time.perf_counter() - t0
+    assert r.ok, r.checks  # exact, zero tolerance
     assert elapsed < 10.0
-    print(f"[criterion 01] PASS assignment exactness: 500/500 exact, {elapsed:.1f}s")
+    print(f"[criterion 01] PASS assignment exactness: {r.exact}/500 exact, {elapsed:.1f}s")
 
 
 def test_c02_rotation_optimality():
-    rng = np.random.default_rng(102)
     t0 = time.perf_counter()
-    worst_recovery = 0.0
-    for _ in range(200):
-        n = int(rng.integers(4, 11))
-        x = rng.standard_normal((n, 3))
-        x -= x.mean(axis=0)
-        planted = rotation_from_rng(rng)
-        target = x @ planted.r.T
-        est = kabsch(target, x)
-        worst_recovery = max(worst_recovery, float(np.linalg.norm(est.r - planted.r.T)))
-        ours = ((target @ est.r.T - x) ** 2).sum()
-        qs, rs = np.linalg.qr(rng.standard_normal((10_000, 3, 3)))
-        qs = qs * np.sign(np.einsum("rii->ri", rs))[:, None, :]
-        flip = np.linalg.det(qs) < 0
-        qs[flip, :, 0] *= -1.0
-        trial = ((np.einsum("rij,nj->rni", qs, target) - x) ** 2).sum(axis=(1, 2)).min()
-        assert ours <= trial + 1e-12
+    r = _checks.rotation_optimality(200, 10_000)
     elapsed = time.perf_counter() - t0
-    assert worst_recovery <= 1e-9
+    assert r.ok, r.checks
     assert elapsed < 30.0
     print(
         f"[criterion 02] PASS rotation optimality: max recovery dev "
-        f"{worst_recovery:.2e}, never beaten by 10k random rotations, {elapsed:.1f}s"
+        f"{r.worst:.2e}, never beaten by 10k random rotations, {elapsed:.1f}s"
     )
 
 
 def test_c03_omt_oracle_agreement():
-    rng = np.random.default_rng(103)
     t0 = time.perf_counter()
-    agree = 0
-    worst_under = 0.0
-    single_pass_gaps = []
-    for i in range(300):
-        n = int(rng.integers(2, 7))
-        z1 = sample_noise(n, 2, rng)
-        z0 = sample_noise(n, 2, rng)
-        oracle, _, _ = brute_force_omt(z1, z0, 0.5)
-        sol = solve_omt(z1, z0, 0.5, max_iters=30, restarts=32)
-        agree += abs(sol.cost - oracle) <= 1e-8
-        worst_under = max(worst_under, oracle - sol.cost)
-        single = solve_omt(z1, z0, 0.5, max_iters=1, restarts=1)
-        single_pass_gaps.append(single.cost - oracle)
+    r = _checks.omt_oracle_agreement(300)
     elapsed = time.perf_counter() - t0
-    assert agree >= 285  # >= 95% of 300
-    assert worst_under <= 1e-9
+    assert r.ok, r.checks  # >= 95% of 300 agree, no undershoot
     assert elapsed < 60.0
     print(
-        f"[criterion 03] PASS OMT oracle agreement: {agree}/300 within 1e-8, "
-        f"max undershoot {worst_under:.1e}; single-pass gap mean "
-        f"{np.mean(single_pass_gaps):.3f} / median {np.median(single_pass_gaps):.3f} "
+        f"[criterion 03] PASS OMT oracle agreement: {r.agree}/300 within 1e-8, "
+        f"max undershoot {r.under:.1e}; single-pass gap mean "
+        f"{np.mean(r.gaps):.3f} / median {np.median(r.gaps):.3f} "
         f"(reported, not asserted), {elapsed:.1f}s"
     )
 
 
 def test_c04_transform_invariance():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for i in range(100):
-        n = int(rng.integers(2, 7))
-        z1 = sample_noise(n, 2, rng)
-        z0 = sample_noise(n, 2, rng)
-        base, _, _ = brute_force_omt(z1, z0, 0.5)
-        rot = rotation_from_rng(rng)
-        perm = rng.permutation(n)
-        shift = rng.standard_normal(3)
-        if i % 2 == 0:  # transform the target argument
-            moved = (z1.coords @ rot.r.T + shift)[perm]
-            moved -= moved.mean(axis=0)
-            cost, _, _ = brute_force_omt(
-                LatentGeometry(n, moved, z1.features[perm]), z0, 0.5
-            )
-        else:  # transform the reference argument
-            moved = (z0.coords @ rot.r.T + shift)[perm]
-            moved -= moved.mean(axis=0)
-            cost, _, _ = brute_force_omt(
-                z1, LatentGeometry(n, moved, z0.features[perm]), 0.5
-            )
-        worst = max(worst, abs(cost - base))
-    assert worst <= 1e-8
-    print(f"[criterion 04] PASS transform invariance: max deviation {worst:.2e}")
+    r = _checks.transform_invariance(100)
+    assert r.ok, r.checks
+    print(f"[criterion 04] PASS transform invariance: max deviation {r.worst:.2e}")
 
 
 def test_c05_equivariance_suite():
-    rng = np.random.default_rng(105)
-    rot_dev = feat_dev = layer_com = 0.0
-    for draw in range(50):
-        model = VectorFieldModel(
-            d=3, k=3, hidden=16, flow_layers=2, identity_latent=True, seed=500 + draw
-        )
-        n = int(rng.integers(3, 9))
-        z = sample_noise(n, 3, rng)
-        t = float(rng.uniform())
-        v = forward(model, z, t)
-        rot = rotation_from_rng(rng)
-        vr = forward(model, LatentGeometry(n, z.coords @ rot.r.T, z.features), t)
-        rot_dev = max(rot_dev, float(np.abs(vr.coords - v.coords @ rot.r.T).max()))
-        feat_dev = max(feat_dev, float(np.abs(vr.features - v.features).max()))
-        perm = rng.permutation(n)
-        vp = forward(model, LatentGeometry(n, z.coords[perm], z.features[perm]), t)
-        assert np.array_equal(vp.coords, v.coords[perm])
-        assert np.array_equal(vp.features, v.features[perm])
-        # zero-CoM after every layer of the velocity stack
-        embed, *stack, _ = model.blocks["flow"]
-        h = embed.forward(np.concatenate([z.features, np.full((n, 1), t)], axis=1))
-        x = np.asarray(z.coords)
-        for layer in stack:
-            x, h = layer.forward(x, h)
-            layer_com = max(layer_com, float(np.abs(x.mean(axis=0)).max()))
-    assert rot_dev <= 1e-7
-    assert feat_dev <= 1e-7
-    assert layer_com <= 1e-9
+    r = _checks.equivariance(50)
+    assert r.ok, r.checks
     print(
-        f"[criterion 05] PASS equivariance suite: rotation dev {rot_dev:.1e}, "
-        f"feature dev {feat_dev:.1e}, per-layer CoM {layer_com:.1e}, permutation exact"
+        f"[criterion 05] PASS equivariance suite: rotation dev {r.rot_dev:.1e}, "
+        f"feature dev {r.feat_dev:.1e}, per-layer CoM {r.layer_com:.1e}, permutation exact"
     )
 
 
 def test_c06_gradient_correctness():
-    worst = 0.0
-    count = None
-    for seed in range(10):
-        rep = grad_check(
-            lambda: VectorFieldModel(
-                d=3, k=3, hidden=8, flow_layers=2, identity_latent=True, seed=42
-            ),
-            tolerance=1e-4,
-            seed=seed,
-        )
-        assert rep.param_count <= 5000
-        assert rep.passed, f"seed {seed}: max rel err {rep.max_rel_err}"
-        worst = max(worst, rep.max_rel_err)
-        count = rep.param_count
+    r = _checks.gradient_correctness(10)
+    assert r.ok, r.checks
     print(
-        f"[criterion 06] PASS gradient correctness: {count} params, "
-        f"10 seeds, max rel err {worst:.2e}"
+        f"[criterion 06] PASS gradient correctness: {r.params} params, "
+        f"10 seeds, max rel err {r.worst:.2e}"
     )
 
 
 def test_c07_theorem_monotonicity(trained, dataset, estimated_1000):
     t0 = time.perf_counter()
     rand = random_couplings(trained, dataset, 1000, seed=6)
-    est_costs = np.array(
-        [optimal_molecule_cost(p.z0, p.z1, max_iters=10, restarts=2) for p in estimated_1000]
-    )
-    rand_costs = np.array(
-        [optimal_molecule_cost(p.z0, p.z1, max_iters=10, restarts=2) for p in rand]
-    )
-    se_diff = float(
-        np.sqrt(est_costs.var() / len(est_costs) + rand_costs.var() / len(rand_costs))
-    )
+    r = _checks.coupling_cost_monotone(estimated_1000, rand)
     elapsed = time.perf_counter() - t0
-    assert est_costs.mean() <= rand_costs.mean() + 2 * se_diff
+    assert r.ok, r.checks
     assert elapsed < 1800.0
     print(
-        f"[criterion 07] PASS theorem monotonicity: estimated {est_costs.mean():.3f} "
-        f"<= random {rand_costs.mean():.3f} + 2se {2 * se_diff:.3f} "
-        f"({len(est_costs)}+{len(rand_costs)} pairs, {elapsed:.0f}s)"
+        f"[criterion 07] PASS theorem monotonicity: estimated {r.est_mean:.3f} "
+        f"<= random {r.rand_mean:.3f} + 2se {r.two_se:.3f} "
+        f"({len(estimated_1000)}+{len(rand)} pairs, {elapsed:.0f}s)"
     )
 
 
@@ -303,8 +191,6 @@ def test_c08_reflow_speeds_sampling(trained, reflowed):
 
 
 def test_c09_purification_contract(reflowed, estimated_1000, rule):
-    from geomflow.nn import decode
-
     model2, kept = reflowed
     revalid = [data.is_valid(decode(model2, p.z1), rule)[0] for p in kept]
     assert all(p.valid for p in kept)
@@ -319,8 +205,6 @@ def test_c09_purification_contract(reflowed, estimated_1000, rule):
 
 
 def test_c10_lambda_ablation(trained, dataset):
-    from geomflow.flow import CouplingSet
-
     table = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         pairs = random_couplings(trained, dataset, 200, seed=10)
@@ -354,16 +238,8 @@ def test_c10_lambda_ablation(trained, dataset):
 
 
 def test_c11_ode_solver_correctness(trained):
-    rng = np.random.default_rng(111)
-    # constant field: exact for euler up to summation roundoff
-    c = rng.standard_normal(9)
-    y0 = rng.standard_normal(9)
-    y1, _ = integrate(lambda t, y: c, y0, SolverConfig("euler", fixed_steps=13))
-    assert np.abs(y1 - (y0 + c)).max() <= 1e-14
-    # linear field: rk4 against the closed form
-    a = 0.8
-    y1, _ = integrate(lambda t, y: a * y, y0, SolverConfig("rk4", fixed_steps=300))
-    assert np.abs(y1 - y0 * np.exp(a)).max() <= 1e-10
+    synthetic = _checks.synthetic_fields()  # Euler on a constant field, RK4 on a linear one
+    assert synthetic.ok, synthetic.checks
 
     sampler = SizeSampler.from_histogram(trained.meta["size_hist"])
     adaptive = SolverConfig("adaptive", rtol=1e-4, atol=1e-5, init_step=0.05)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomflow import _checks
 from geomflow.alignment import (
     ALTERNATION_EPS,
     CostMatrix,
@@ -15,7 +16,7 @@ from geomflow.alignment import (
     solve_omt,
     solve_omt_batch,
 )
-from geomflow.geometry import LatentGeometry, Permutation, Rotation, random_rotation
+from geomflow.geometry import LatentGeometry, Rotation, random_rotation
 
 
 def random_latent(seed, n=5, k=2, centered=True):
@@ -98,12 +99,8 @@ class TestKabsch:
         np.testing.assert_allclose(rot.r, np.eye(3), atol=1e-9)
 
     def test_recovers_planted_rotation(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((5, 3))
-        x -= x.mean(axis=0)
-        planted = random_rotation(3)
-        est = kabsch(x @ planted.r.T, x)
-        np.testing.assert_allclose(est.r, planted.r.T, atol=1e-9)
+        r = _checks.rotation_optimality(20, 1000)
+        assert r.ok, r.checks
 
     def test_beats_random_rotations(self):
         rng = np.random.default_rng(3)
@@ -113,10 +110,7 @@ class TestKabsch:
         b -= b.mean(axis=0)
         best = kabsch(a, b)
         ours = ((a @ best.r.T - b) ** 2).sum()
-        qs, rs = np.linalg.qr(rng.standard_normal((10_000, 3, 3)))
-        qs = qs * np.sign(np.einsum("rii->ri", rs))[:, None, :]
-        flip = np.linalg.det(qs) < 0
-        qs[flip, :, 0] *= -1.0
+        qs = _checks._haar_rotations(rng, 10_000)
         trial = ((np.einsum("rij,nj->rni", qs, a) - b) ** 2).sum(axis=(1, 2)).min()
         assert ours <= trial + 1e-12
 
@@ -159,15 +153,8 @@ class TestSolveOmt:
         assert abs(recomputed - sol.cost) <= 1e-9
 
     def test_matches_oracle_on_small_instances(self):
-        hits = 0
-        for i in range(40):
-            z1 = random_latent(100 + 2 * i, n=5)
-            z0 = random_latent(101 + 2 * i, n=5)
-            sol = solve_omt(z1, z0, 0.5, max_iters=30, restarts=32)
-            oracle, _, _ = brute_force_omt(z1, z0, 0.5)
-            assert sol.cost >= oracle - 1e-9
-            hits += abs(sol.cost - oracle) <= 1e-8
-        assert hits >= 36
+        r = _checks.omt_oracle_agreement(100)  # c03's bounds on 100 pairs of 2-6 points
+        assert r.ok, r.checks
 
     def test_monotone_in_max_iters(self):
         z1, z0 = random_latent(13, n=7), random_latent(14, n=7)
@@ -226,19 +213,8 @@ class TestBruteForceOmt:
             brute_force_omt(random_latent(0, n=9), random_latent(1, n=9), 0.5)
 
     def test_invariant_under_rigid_and_permutation(self):
-        rng = np.random.default_rng(40)
-        for i in range(25):
-            n = int(rng.integers(3, 6))
-            z1 = random_latent(300 + 2 * i, n=n)
-            z0 = random_latent(301 + 2 * i, n=n)
-            base, _, _ = brute_force_omt(z1, z0, 0.5)
-            rot = random_rotation(50 + i)
-            perm = rng.permutation(n)
-            moved = (z1.coords @ rot.r.T + rng.standard_normal(3))[perm]
-            moved -= moved.mean(axis=0)
-            z1t = LatentGeometry(n, moved, z1.features[perm])
-            cost, _, _ = brute_force_omt(z1t, z0, 0.5)
-            assert abs(cost - base) <= 1e-8
+        r = _checks.transform_invariance(25)
+        assert r.ok, r.checks
 
     def test_symmetry_between_arguments(self):
         for i in range(10):

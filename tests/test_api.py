@@ -28,7 +28,7 @@ EXPORTED = {
 TRACED = {
     "cli": {"build_parser", "cmd_eval", "cmd_gendata", "cmd_reflow", "cmd_sample",
             "cmd_selftest", "cmd_train", "config_hash", "load_config", "main", "rule_from",
-            "suite_align", "suite_flow", "suite_nn", "train_config_from"},
+            "train_config_from"},
     "data": {"append_metrics", "default_rule", "is_valid", "load_checkpoint",
              "load_geometries", "load_pairs", "make_dataset", "read_metrics",
              "save_checkpoint", "save_geometries", "save_loss_curve", "save_pairs",

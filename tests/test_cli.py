@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import types
@@ -11,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomflow import cli, costs, data, flow, nn, ode
+from geomflow import _checks, cli, costs, data, flow, nn, ode
 from geomflow._rules import field_rules
-from geomflow.geometry import sample_noise
+from geomflow.geometry import Permutation, sample_noise
 
 
 @pytest.fixture()
@@ -230,8 +231,26 @@ class TestSelftest:
     def test_all_suites_pass(self, capsys):
         assert run("selftest") == 0
         out = capsys.readouterr().out
-        assert "[flow] euler-constant-field-exact: PASS" in out
-        assert "all self-test checks passed" in out
+        assert " ".join(re.findall(r"^(\[\w+\] [\w-]+): PASS", out, re.M)) == (
+            "[align] hungarian-vs-enumeration [align] kabsch-planted-rotation "
+            "[align] kabsch-random-rotation-oracle [align] solve-omt-vs-oracle "
+            "[align] oracle-transform-invariance [nn] rotation-equivariance "
+            "[nn] feature-invariance [nn] zero-com-velocity [nn] permutation-exactness "
+            "[nn] gradient-check [nn] dense-closed-form-gradient "
+            "[flow] euler-constant-field-exact [flow] rk4-linear-field "
+            "[flow] interpolate-endpoints [flow] noise-zero-com "
+            "[flow] estimated-coupling-cost-monotone [flow] training-loss-decreases")
+        assert out.endswith("all self-test checks passed\n")
+
+    def test_a_failed_check_exits_3(self, capsys, monkeypatch):
+        # Every assignment the identity: the enumeration check must catch it.
+        monkeypatch.setattr(_checks, "hungarian", lambda cm: Permutation.identity(len(cm.m)))
+        assert run("selftest", "--suite", "align") == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^\[align\] hungarian-vs-enumeration: FAIL \((\d+)/60 exact\)$",
+                         out, re.M)
+        assert "[align] kabsch-planted-rotation: PASS" in out
+        assert out.endswith("1 self-test check(s) failed\n")
 
 
 class TestConfigHash:
@@ -709,14 +728,16 @@ def _has_mallopt():
         return False
 
 
-def _probe(script, *args):
+def _probe(script, *args, preexec_fn=None):
     """Standard output of `script` run in a fresh interpreter on one BLAS
-    thread, so that the allocator starts from its defaults."""
+    thread, so that the allocator starts from its defaults; `preexec_fn`
+    runs in the child before it starts."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=root,
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=env, capture_output=True, text=True, timeout=600,
+                          preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -812,3 +833,44 @@ class TestKeepHeap:
         cli._keep_heap()
         assert run("eval", "--pairs", path) == 0
         assert capsys.readouterr().out == report
+
+
+# Load a checkpoint and print its error's type and message, then `sample`'s
+# exit code and standard error on it.
+_HUGE_PROBE = """
+import contextlib, io, sys
+from geomflow import cli, data
+
+try:
+    data.load_checkpoint(sys.argv[1])
+except data.PersistenceError as e:
+    print(type(e).__name__, e)
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["sample", "--ckpt", sys.argv[1], "--count", "2", "--out", sys.argv[2]])
+print(code, err.getvalue())
+"""
+
+
+class TestHugeCheckpoint:
+    """A checkpoint whose `hidden` would take tens of GB is refused from its
+    header, before a model is built. The child's address space is capped at
+    2 GiB, so a loader that did allocate would fail there, not load the
+    machine."""
+
+    @pytest.mark.parametrize("matching", [True, False], ids=["matching", "mismatching"])
+    def test_huge_hidden_is_data_error(self, tmp_path, matching):
+        model = nn.VectorFieldModel(d=3, k=3, hidden=4, flow_layers=1,
+                                    identity_latent=True, seed=0)
+        path = tmp_path / "huge.gflow.ckpt"
+        data.save_checkpoint(path, model)
+        line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["arch"]["hidden"] = 10**9
+        if matching:
+            header["param_count"] = nn.VectorFieldModel.count_params(header["arch"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        out = _probe(_HUGE_PROBE, path, tmp_path / "gen.geoms.jsonl", preexec_fn=lambda:
+                     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+        error = "TruncatedFileError" if matching else "MalformedFileError"
+        assert out.startswith(f"{error} {path}: ")
+        assert f"\n2 error: {path}: " in out

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geomflow import _checks
 from geomflow import flow as flow_module
 from geomflow.data import TemplateSpec, make_dataset
 from geomflow.flow import (
@@ -23,7 +24,7 @@ from geomflow.flow import (
     train,
 )
 from geomflow.geometry import LatentGeometry
-from geomflow.nn import ARCH_DEFAULTS, AdamState, VectorFieldModel, adam_step, decode, forward
+from geomflow.nn import ARCH_DEFAULTS, AdamState, VectorFieldModel, adam_step, decode
 from geomflow.ode import SolverConfig, integrate
 
 
@@ -48,9 +49,8 @@ def tiny_config(**over):
 
 class TestSampleNoise:
     def test_coords_centered(self):
-        for seed in range(20):
-            z = sample_noise(6, 2, seed)
-            assert np.abs(z.coords.mean(axis=0)).max() <= 1e-12
+        r = _checks.noise_zero_com(20)
+        assert r.ok, r.checks
 
     def test_deterministic(self):
         a, b = sample_noise(5, 3, 42), sample_noise(5, 3, 42)
@@ -71,13 +71,8 @@ class TestSampleNoise:
 
 class TestInterpolate:
     def test_endpoints_exact(self):
-        z0, z1 = sample_noise(4, 2, 0), sample_noise(4, 2, 1)
-        at0 = interpolate(z0, z1, 0.0)
-        at1 = interpolate(z0, z1, 1.0)
-        assert np.array_equal(at0.coords, z0.coords)
-        assert np.array_equal(at0.features, z0.features)
-        assert np.array_equal(at1.coords, z1.coords)
-        assert np.array_equal(at1.features, z1.features)
+        r = _checks.interpolate_endpoints()
+        assert r.ok, r.checks
 
     def test_midpoint_hand_case(self):
         z0 = LatentGeometry(2, np.zeros((2, 3)), np.zeros((2, 2)))

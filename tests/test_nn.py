@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomflow import _checks
 from geomflow.flow import sample_noise
 from geomflow.geometry import Geometry, LatentGeometry, random_rotation
 from geomflow.nn import (
@@ -49,18 +50,8 @@ class TestDenseNet:
         np.testing.assert_allclose(silu_grad(z), fd, atol=1e-6)
 
     def test_closed_form_gradient_single_layer(self):
-        rng = np.random.default_rng(0)
-        net = DenseNet([4, 3], np.random.default_rng(1))
-        x = rng.standard_normal((7, 4))
-        y = rng.standard_normal((7, 3))
-        tape = []
-        pred = net.forward(x, tape)
-        net.zero_grads()
-        dx = net.backward(2.0 * (pred - y), tape)
-        w = net.weights[0]
-        expected_dw = 2.0 * (x @ w.T + net.biases[0] - y).T @ x
-        np.testing.assert_allclose(net.grad_w[0], expected_dw, atol=1e-9)
-        np.testing.assert_allclose(dx, 2.0 * (pred - y) @ w, atol=1e-12)
+        r = _checks.dense_closed_form_gradient()
+        assert r.ok, r.checks
 
     def test_zero_adjoint_gives_zero_gradients(self):
         net = DenseNet([3, 5, 2], np.random.default_rng(2))
@@ -136,28 +127,9 @@ class TestVelocityField:
         assert np.all(v.features == 0.0)
 
     def test_rotation_equivariance(self):
-        model = small_model(1)
-        z = random_latent(2)
-        rot = random_rotation(3)
-        v = forward(model, z, 0.7)
-        vr = forward(model, LatentGeometry(z.n, z.coords @ rot.r.T, z.features), 0.7)
-        np.testing.assert_allclose(vr.coords, v.coords @ rot.r.T, atol=1e-7)
-        np.testing.assert_allclose(vr.features, v.features, atol=1e-7)
-
-    def test_permutation_exactness(self):
-        model = small_model(4)
-        z = random_latent(5, n=7)
-        perm = np.random.default_rng(6).permutation(7)
-        v = forward(model, z, 0.2)
-        vp = forward(model, LatentGeometry(7, z.coords[perm], z.features[perm]), 0.2)
-        assert np.array_equal(vp.coords, v.coords[perm])
-        assert np.array_equal(vp.features, v.features[perm])
-
-    def test_velocity_coords_zero_com(self):
-        model = small_model(7)
-        for seed in range(10):
-            v = forward(model, random_latent(seed), 0.5)
-            assert np.abs(v.coords.mean(axis=0)).max() <= 1e-9
+        # c05 on ten fields: rotation, features, zero CoM, permutation bits
+        r = _checks.equivariance(10)
+        assert r.ok, r.checks
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError, match="t must lie"):
@@ -537,9 +509,17 @@ class TestParameterPlumbing:
         np.testing.assert_array_equal(model.get_flat(), flat)
 
     def test_param_count_matches_arrays(self):
-        model = VectorFieldModel(d=4, k=2, hidden=8, flow_layers=2, seed=37)
+        model = VectorFieldModel(d=4, k=2, hidden=8, flow_layers=2, decoder_layers=3, seed=37)
         assert model.param_count == sum(p.size for p in model.parameters())
+        assert VectorFieldModel.count_params(model.arch_dict()) == model.param_count
         assert len(model.parameters()) == len(model.gradients())
+
+    @pytest.mark.parametrize("arch", [{"d": 3, "hidden": 0}, {"d": 3, "width": 4}, {"k": 2}])
+    def test_count_params_rejects_what_the_constructor_rejects(self, arch):
+        with pytest.raises((TypeError, ValueError)):
+            VectorFieldModel(**arch)
+        with pytest.raises((TypeError, ValueError)):
+            VectorFieldModel.count_params(arch)
 
     def test_identity_latent_has_no_ae_params(self):
         model = small_model(38)
