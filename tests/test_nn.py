@@ -131,6 +131,21 @@ class TestVelocityField:
         r = _checks.equivariance(10)
         assert r.ok, r.checks
 
+    def test_permutation_exactness(self):
+        model = small_model(4)
+        z = random_latent(5, n=7)
+        perm = np.random.default_rng(6).permutation(7)
+        v = forward(model, z, 0.2)
+        vp = forward(model, LatentGeometry(7, z.coords[perm], z.features[perm]), 0.2)
+        assert np.array_equal(vp.coords, v.coords[perm])
+        assert np.array_equal(vp.features, v.features[perm])
+
+    def test_velocity_coords_zero_com(self):
+        model = small_model(7)
+        for seed in range(10):
+            v = forward(model, random_latent(seed), 0.5)
+            assert np.abs(v.coords.mean(axis=0)).max() <= 1e-9
+
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError, match="t must lie"):
             forward(small_model(), random_latent(0), 1.5)
