@@ -3,9 +3,10 @@ c01-c07, the synthetic fields of c11, and four smaller checks.
 
 A check is a function of its sample size(s) that draws from its own seed
 and returns a `_result`. `geomflow selftest` passes small sizes;
-`tests/test_acceptance.py` passes the criteria's own and asserts `ok`.
-Every bound lives here, in one place: a check passes where its bounds hold,
-whatever size it is given.
+`tests/test_acceptance.py` passes the criteria's own and asserts `ok`; the
+unit tests pass other seeds and sizes, so they hold the same bounds on
+draws of their own. Every bound lives here, in one place: a check passes
+where its bounds hold, whatever it is given.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ def _result(*checks, **values) -> SimpleNamespace:
     return SimpleNamespace(checks=checks, ok=all(ok for _, ok, _ in checks), **values)
 
 
-def assignment_exactness(count) -> SimpleNamespace:
-    """c01: `hungarian` on `count` random n x n matrices, n in 2-7, reaches
-    the enumerated minimum exactly."""
-    rng = np.random.default_rng(101)
+def assignment_exactness(count, seed=101, sizes=(2, 8)) -> SimpleNamespace:
+    """c01: `hungarian` on `count` random n x n matrices, n drawn from the
+    half-open `sizes`, reaches the enumerated minimum exactly."""
+    rng = np.random.default_rng(seed)
     perms_by_n = {n: np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-                  for n in range(2, 8)}
+                  for n in range(*sizes)}
     exact = 0
     for _ in range(count):
-        n = int(rng.integers(2, 8))
+        n = int(rng.integers(*sizes))
         m = rng.random((n, n))
         achieved = m[hungarian(CostMatrix(m)).map, np.arange(n)].sum()
         exact += achieved == m[perms_by_n[n], np.arange(n)].sum(axis=1).min()
@@ -50,20 +51,22 @@ def _haar_rotations(rng, count) -> np.ndarray:
     return qs
 
 
-def rotation_optimality(count, trials) -> SimpleNamespace:
+def rotation_optimality(count, trials, seed=102) -> SimpleNamespace:
     """c02: on `count` centred clouds of 4-10 points, `kabsch` recovers a
-    planted rotation, and none of `trials` random rotations beats it."""
-    rng = np.random.default_rng(102)
+    planted rotation; and aligning each cloud to a second, unplanted one
+    from a separate generator, none of `trials` random rotations beats it."""
+    rng, free = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     worst, held = 0.0, 0
     for _ in range(count):
         n = int(rng.integers(4, 11))
         x = rng.standard_normal((n, 3))
         x -= x.mean(axis=0)
         planted = rotation_from_rng(rng)
-        target = x @ planted.r.T
-        est = kabsch(target, x)
+        est = kabsch(x @ planted.r.T, x)
         worst = max(worst, float(np.linalg.norm(est.r - planted.r.T)))
-        ours = ((target @ est.r.T - x) ** 2).sum()
+        target = free.standard_normal((n, 3))
+        target -= target.mean(axis=0)
+        ours = ((target @ kabsch(target, x).r.T - x) ** 2).sum()
         qs = _haar_rotations(rng, trials)
         trial = ((np.einsum("rij,nj->rni", qs, target) - x) ** 2).sum(axis=(1, 2)).min()
         held += ours <= trial + 1e-12
@@ -74,14 +77,15 @@ def rotation_optimality(count, trials) -> SimpleNamespace:
         worst=worst)
 
 
-def omt_oracle_agreement(count) -> SimpleNamespace:
-    """c03: `solve_omt` (30 passes, 32 starts) on `count` pairs of 2-6 noise
-    points agrees with the enumeration oracle to 1e-8 on at least 95% of
-    them, and never undershoots it. Also measures the single-pass gap."""
-    rng = np.random.default_rng(103)
+def omt_oracle_agreement(count, seed=103, sizes=(2, 7)) -> SimpleNamespace:
+    """c03: `solve_omt` (30 passes, 32 starts) on `count` pairs of noise
+    points, their sizes drawn from the half-open `sizes`, agrees with the
+    enumeration oracle to 1e-8 on at least 95% of them, and never
+    undershoots it. Also measures the single-pass gap."""
+    rng = np.random.default_rng(seed)
     agree, under, gaps = 0, 0.0, []
     for _ in range(count):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(*sizes))
         z1 = sample_noise(n, 2, rng)
         z0 = sample_noise(n, 2, rng)
         oracle, _, _ = brute_force_omt(z1, z0, 0.5)
@@ -102,13 +106,14 @@ def _moved(z, rot, shift, perm) -> LatentGeometry:
     return LatentGeometry(z.n, x, z.features[perm])
 
 
-def transform_invariance(count) -> SimpleNamespace:
-    """c04: the oracle cost of `count` pairs of 2-6 noise points is unchanged
-    by a rotation, translation and permutation of either argument."""
-    rng = np.random.default_rng(104)
+def transform_invariance(count, seed=104, sizes=(2, 7)) -> SimpleNamespace:
+    """c04: the oracle cost of `count` pairs of noise points, their sizes
+    drawn from the half-open `sizes`, is unchanged by a rotation,
+    translation and permutation of either argument."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(count):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(*sizes))
         z1 = sample_noise(n, 2, rng)
         z0 = sample_noise(n, 2, rng)
         base, _, _ = brute_force_omt(z1, z0, 0.5)
@@ -124,16 +129,17 @@ def transform_invariance(count) -> SimpleNamespace:
                   worst=worst)
 
 
-def equivariance(count) -> SimpleNamespace:
-    """c05: on `count` fresh velocity fields, each at one draw of 3-8 noise
-    points: rotating the input rotates the coordinate velocity and leaves
-    the feature velocity alone, every layer and the velocity keep the CoM
-    at zero, and permuting the points permutes the output bit for bit."""
-    rng = np.random.default_rng(105)
+def equivariance(count, seed=105, hidden=16) -> SimpleNamespace:
+    """c05: on `count` fresh velocity fields of width `hidden`, each at one
+    draw of 3-8 noise points: rotating the input rotates the coordinate
+    velocity and leaves the feature velocity alone, every layer and the
+    velocity keep the CoM at zero, and permuting the points permutes the
+    output bit for bit."""
+    rng = np.random.default_rng(seed)
     rot_dev = feat_dev = layer_com = vel_com = 0.0
     perm_exact = True
     for draw in range(count):
-        model = nn.VectorFieldModel(d=3, k=3, hidden=16, flow_layers=2,
+        model = nn.VectorFieldModel(d=3, k=3, hidden=hidden, flow_layers=2,
                                     identity_latent=True, seed=500 + draw)
         n = int(rng.integers(3, 9))
         z = sample_noise(n, 3, rng)
@@ -214,25 +220,33 @@ def trained_couplings(count) -> SimpleNamespace:
     return _result(*coupling_cost_monotone(est, rand).checks, *loss_decreases(losses, 10).checks)
 
 
-def synthetic_fields() -> SimpleNamespace:
-    """c11's synthetic fields, in 9 dimensions: 13 Euler steps on a constant
-    field equal the same steps taken by hand bit for bit, and the exact
-    endpoint to 1e-14; 300 RK4 steps on dy/dt = 0.8 y reach y0 e^0.8 to 1e-10."""
-    rng = np.random.default_rng(111)
-    c = rng.standard_normal(9)
-    y0 = rng.standard_normal(9)
-    steps = 13
-    euler, _ = ode.integrate(lambda t, y: c, y0, ode.SolverConfig("euler", fixed_steps=steps))
+def euler_constant_field(c, y0, steps) -> SimpleNamespace:
+    """`steps` Euler steps on dy/dt = c, all taken, equal the same steps
+    taken by hand bit for bit, and the exact endpoint y0 + c to 1e-14."""
+    euler, used = ode.integrate(lambda t, y: c, y0, ode.SolverConfig("euler", fixed_steps=steps))
     by_hand = y0
     for _ in range(steps):
         by_hand = by_hand + (1 / steps) * c
-    euler_dev = float(np.abs(euler - (y0 + c)).max())
-    rk4, _ = ode.integrate(lambda t, y: 0.8 * y, y0, ode.SolverConfig("rk4", fixed_steps=300))
-    rk4_dev = float(np.abs(rk4 - y0 * np.exp(0.8)).max())
-    return _result(
-        ("euler-constant-field-exact", np.array_equal(euler, by_hand) and euler_dev <= 1e-14,
-         f"bitwise, max dev from y0 + c {euler_dev:.1e}"),
-        ("rk4-linear-field", rk4_dev <= 1e-10, f"max dev {rk4_dev:.1e}"))
+    dev = float(np.abs(euler - (y0 + c)).max())
+    return _result(("euler-constant-field-exact",
+                    used == steps and np.array_equal(euler, by_hand) and dev <= 1e-14,
+                    f"bitwise, max dev from y0 + c {dev:.1e}"))
+
+
+def rk4_linear_field(y0, rate, steps) -> SimpleNamespace:
+    """`steps` RK4 steps on dy/dt = rate y reach y0 e^rate to 1e-10."""
+    rk4, _ = ode.integrate(lambda t, y: rate * y, y0, ode.SolverConfig("rk4", fixed_steps=steps))
+    dev = float(np.abs(rk4 - y0 * np.exp(rate)).max())
+    return _result(("rk4-linear-field", dev <= 1e-10, f"max dev {dev:.1e}"))
+
+
+def synthetic_fields() -> SimpleNamespace:
+    """c11's synthetic fields, at one draw in 9 dimensions: 13 Euler steps
+    on a constant field and 300 RK4 steps on dy/dt = 0.8 y."""
+    rng = np.random.default_rng(111)
+    c = rng.standard_normal(9)
+    y0 = rng.standard_normal(9)
+    return _result(*euler_constant_field(c, y0, 13).checks, *rk4_linear_field(y0, 0.8, 300).checks)
 
 
 def dense_closed_form_gradient() -> SimpleNamespace:

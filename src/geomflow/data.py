@@ -306,10 +306,12 @@ def load_checkpoint(path) -> VectorFieldModel:
             raise MalformedFileError(f"{path}: bad architecture record: {e}") from e
         if header.get("param_count") != count:
             raise MalformedFileError(f"{path}: parameter count mismatch in header")
-        expected = count * 8
-        if f.tell() + expected < size:
+        expected, found = count * 8, size - f.tell()
+        if found < expected:
+            raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, found {found}")
+        if found > expected:
             raise MalformedFileError(f"{path}: trailing bytes after parameters")
-        blob = _read_exact(f, expected, size, path, f"{expected} parameter bytes")
+        blob = f.read(expected)
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if not np.isfinite(params).all():
         raise MalformedFileError(f"{path}: non-finite parameter values")

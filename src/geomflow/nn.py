@@ -234,13 +234,14 @@ def _dense_count(widths) -> int:
     return sum((i + 1) * o for i, o in zip(widths, widths[1:]))
 
 
-def _net_widths(d, k, flow_layers, decoder_layers, identity_latent, **_):
-    """Each net's (input width, equivariant layers, output width), in build
-    order, from a VectorFieldModel's arguments."""
+def _net_widths(d, k, hidden, flow_layers, decoder_layers, identity_latent, **_):
+    """Each net's (embed widths, equivariant layers of width `hidden`, out
+    widths), in build order, from a VectorFieldModel's arguments."""
     k = d if identity_latent else k
     nets = {} if identity_latent else {"enc": (d, 1, k), "dec": (k, decoder_layers, d)}
     nets["flow"] = (k + 1, flow_layers, k)
-    return nets
+    return {net: ([w_in, hidden], layers, [hidden, w_out])
+            for net, (w_in, layers, w_out) in nets.items()}
 
 
 class EquivariantLayer:
@@ -366,13 +367,14 @@ class VectorFieldModel:
 
         rng = np.random.default_rng(seed)
 
-        def build(width_in, layers, width_out):
-            return [DenseNet([width_in, hidden], rng),
+        def build(embed, layers, out):
+            return [DenseNet(embed, rng),
                     *(EquivariantLayer(hidden, rng, coord_scale) for _ in range(layers)),
-                    DenseNet([hidden, width_out], rng)]
+                    DenseNet(out, rng)]
 
         self.blocks = {net: build(*widths) for net, widths in
-                       _net_widths(d, k, flow_layers, decoder_layers, identity_latent).items()}
+                       _net_widths(d, k, hidden, flow_layers, decoder_layers,
+                                   identity_latent).items()}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -421,10 +423,9 @@ class VectorFieldModel:
         args = inspect.signature(cls).bind(**{key: v for key, v in arch.items() if key != "meta"})
         args.apply_defaults()
         check(ARCH_RULES, args.arguments)
-        hidden = args.arguments["hidden"]
-        layer = sum(_dense_count(widths) for widths in _layer_widths(hidden))
-        return sum(_dense_count([w_in, hidden]) + layers * layer + _dense_count([hidden, w_out])
-                   for w_in, layers, w_out in _net_widths(**args.arguments).values())
+        layer = sum(map(_dense_count, _layer_widths(args.arguments["hidden"])))
+        return sum(_dense_count(embed) + layers * layer + _dense_count(out)
+                   for embed, layers, out in _net_widths(**args.arguments).values())
 
     @classmethod
     def from_arch(cls, arch: dict) -> "VectorFieldModel":

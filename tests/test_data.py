@@ -229,7 +229,9 @@ class TestCheckpointPersistence:
         save_checkpoint(path, self.make_model())
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(TruncatedFileError):
+        expected = 8 * self.make_model().param_count
+        with pytest.raises(TruncatedFileError, match=f"expected {expected} parameter "
+                                                     f"bytes, found {expected - 16}$"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):

@@ -106,15 +106,11 @@ class TestFixedStep:
         c = rng.standard_normal(10)
         y0 = rng.standard_normal(10)
         for steps in (1, 3, 17):
-            y1, used = integrate(
-                lambda t, y: c, y0, SolverConfig("euler", fixed_steps=steps)
-            )
-            assert used == steps
-            # exact up to summation roundoff: n additions of h*c
-            np.testing.assert_allclose(y1, y0 + c, rtol=0, atol=1e-14)
+            r = _checks.euler_constant_field(c, y0, steps)  # all steps, bitwise as by hand
+            assert r.ok, r.checks
 
     def test_rk4_matches_linear_field_closed_form(self):
-        r = _checks.synthetic_fields()  # and Euler on a constant field
+        r = _checks.rk4_linear_field(np.random.default_rng(1).standard_normal(8), 0.7, 200)
         assert r.ok, r.checks
 
     def test_rk4_matrix_linear_field(self):
