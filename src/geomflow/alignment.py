@@ -9,11 +9,12 @@ The solver runs the classical pipeline: a per-point cost matrix, the
 Hungarian assignment for the permutation, and Kabsch's SVD solution for the
 rotation, optionally alternating the two until the cost stops improving.
 Translation is handled implicitly by the zero-CoM precondition. One kernel
-runs every alternation: the starts of a pair, and the pairs of one size
-given to `solve_omt_batch`, are rows of one stacked state, each with the
-bits it would have alone. As in the stacked ODE solve, a pass works on the
-rows still alternating, and arrays indexed by row keep each row's best
-pass; a pair's result is the first best of its starts.
+runs every alternation: the starts of a pair, and the pairs of one point
+count and feature width given to `solve_omt_batch` (which groups pairs of
+any sizes itself), are rows of one stacked state, each with the bits it
+would have alone. As in the stacked ODE solve, a pass works on the rows
+still alternating, and arrays indexed by row keep each row's best pass; a
+pair's result is the first best of its starts.
 
 `brute_force_omt` is the exact small-n oracle: it enumerates every
 permutation and solves the rotation subproblem in closed form, which is
@@ -31,13 +32,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import LatentGeometry, Permutation, Rotation, random_rotation
+from .geometry import LatentGeometry, Permutation, Rotation, _runs, random_rotation
 
 CENTER_TOL = 1e-8
 ORACLE_MAX_N = 8
 ALTERNATION_EPS = 1e-10
 # The coordinate-vs-feature weight of the alignment cost.
 LAMBDA = 0.5
+# The most stacked cost-matrix entries (rows * n^2) one alignment stack of
+# `solve_omt_batch` holds; larger groups of one point count are split.
+BATCH_ENTRIES = 1 << 16
 # Kabsch's determinant correction: diag(1, 1, +1) or, for a reflection,
 # diag(1, 1, -1) on the smallest singular direction.
 _SIGN_FIX = np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])])
@@ -277,19 +281,20 @@ def solve_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA,
 def solve_omt_batch(z1s, z0s, lam: float = LAMBDA,
                     max_iters: int = SINGLE_PASS.max_iters,
                     restarts: int = SINGLE_PASS.restarts) -> list:
-    """`solve_omt` of each pair (z1s[i], z0s[i]), all of one point count,
-    run as one stacked alternation; the solutions in input order, each
+    """`solve_omt` of each pair (z1s[i], z0s[i]), the pairs of each point
+    count and feature width run as stacked alternations of at most
+    BATCH_ENTRIES cost-matrix entries; the solutions in input order, each
     bit-identical to its own `solve_omt` call."""
     z1s, z0s = list(z1s), list(z0s)
     if len(z1s) != len(z0s) or not z1s:
         raise ValueError("solve_omt_batch needs equal, non-empty lists of targets and references")
     for z1, z0 in zip(z1s, z0s):
         _check_pair(z1, z0, lam)
-        if z1.n != z1s[0].n or z1.k != z1s[0].k:
-            raise ValueError("solve_omt_batch needs pairs of one size and feature width")
         _check_centered("solve_omt_batch", z1.coords, z0.coords)
     _check_budget(max_iters, restarts)
-    return _align_stack(z1s, z0s, lam, max_iters, restarts)
+    return _runs(list(zip(z1s, z0s)), [(z1.n, z1.k) for z1 in z1s], BATCH_ENTRIES,
+                 lambda key: restarts * key[0] ** 2,
+                 lambda run: _align_stack(*zip(*run), lam, max_iters, restarts))
 
 
 def brute_force_omt(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA):

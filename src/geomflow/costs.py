@@ -6,9 +6,9 @@ convention: `total_cost` is the Monte Carlo mean of
 pair costs by the summed point counts, and lambda only steers which
 alignment is chosen, not how the report is added up. Every aligned cost
 runs through one path: the pairs are re-centered, then the oracle aligns
-each one (`exact`), or the pairs of each point count are aligned together
-as one stacked alternation (`alignment.solve_omt_batch`), with each pair's
-result unchanged. `optimal_molecule_cost` is its one-pair case.
+each one (`exact`), or one `alignment.solve_omt_batch` call aligns them
+all, each pair's result unchanged. `optimal_molecule_cost` is its one-pair
+case.
 """
 
 from __future__ import annotations
@@ -20,14 +20,11 @@ import numpy as np
 
 from ._rules import Rule, check, field_rules, ruled
 from .alignment import LAMBDA, ORACLE_MAX_N, AlignBudget, brute_force_omt, solve_omt_batch
-from .geometry import Geometry, LatentGeometry, _runs
+from .geometry import Geometry, LatentGeometry
 
 CSV_HEADER = "space,total_cost,per_atom_cost,coord_part,feature_part,num_pairs"
 # Reports alternate assignment and rotation from several starts.
 REPORT_BUDGET = AlignBudget(max_iters=20, restarts=4)
-# The most stacked cost-matrix entries (rows * n^2) one alignment stack of
-# `distribution_cost` holds; larger groups of one point count are split.
-BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,24 +86,19 @@ def _centered(z: LatentGeometry) -> LatentGeometry:
 
 def _aligned(pairs, lam, exact, max_iters, restarts) -> list:
     """(squared objective, ||dx||, ||dh||) of each re-centered (z0, z1) pair,
-    in order, optimally aligned by the oracle (`exact`) or by
-    `solve_omt_batch` over the pairs of each point count and feature width,
-    in runs of at most BATCH_ENTRIES stacked cost-matrix entries (rows * n^2)."""
+    in order, optimally aligned by the oracle (`exact`) or by one
+    `solve_omt_batch` call."""
     pairs = [(_centered(z0), _centered(z1)) for z0, z1 in pairs]
-    out = [None] * len(pairs)
-    if exact:
-        for i, (z0, z1) in enumerate(pairs):
-            cost, perm, rot = brute_force_omt(z1, z0, lam)
-            dx = z1.coords[perm.map] @ rot.r.T - z0.coords
-            dh = z1.features[perm.map] - z0.features
-            out[i] = float(cost), float(np.linalg.norm(dx)), float(np.linalg.norm(dh))
-        return out
-    for run in _runs([(z0.n, z0.k) for z0, _ in pairs], BATCH_ENTRIES,
-                     lambda key: restarts * key[0] ** 2):
-        sols = solve_omt_batch([pairs[i][1] for i in run], [pairs[i][0] for i in run],
-                               lam, max_iters=max_iters, restarts=restarts)
-        for i, sol in zip(run, sols):
-            out[i] = sol.cost, sol.coord_cost, sol.feature_cost
+    if not exact:
+        sols = solve_omt_batch([z1 for _, z1 in pairs], [z0 for z0, _ in pairs], lam,
+                               max_iters=max_iters, restarts=restarts)
+        return [(sol.cost, sol.coord_cost, sol.feature_cost) for sol in sols]
+    out = []
+    for z0, z1 in pairs:
+        cost, perm, rot = brute_force_omt(z1, z0, lam)
+        dx = z1.coords[perm.map] @ rot.r.T - z0.coords
+        dh = z1.features[perm.map] - z0.features
+        out.append((float(cost), float(np.linalg.norm(dx)), float(np.linalg.norm(dh))))
     return out
 
 
@@ -117,9 +109,9 @@ def distribution_cost(pairs, lam: float = LAMBDA, exact: bool = False,
     """Monte Carlo estimate of the expected aligned transport cost.
 
     `pairs` is any iterable of objects with `.z0` and `.z1` latent
-    geometries (a CouplingSet works). Each pair is re-centered; the
-    alternating solver aligns the pairs of each point count together, as
-    one `solve_omt_batch` stack, with the same result as pair by pair.
+    geometries (a CouplingSet works). Each pair is re-centered; one
+    `solve_omt_batch` call aligns them all, with the same result as pair
+    by pair.
     With `exact`, the oracle aligns each pair once every pair's size is checked.
     Summation is compensated so the reduction order cannot perturb the
     report.

@@ -7,9 +7,12 @@ the velocity net onto the straight path target z1_hat - z0
 (`_velocity_regression`). Sampling integrates dz/dt = v(z, t) from 0 to 1.
 Reflow re-pairs each noise sample with the ODE endpoint it generates,
 optionally filters the decoded endpoints through a validity predicate
-(purification), and re-aligns and fine-tunes through the same two steps.
+(purification), re-aligns the kept pairs with one `solve_omt_batch` call,
+each pair with the bits of its own `align_pair`, and fine-tunes through
+`_velocity_regression`.
 
 Every ODE solve runs through `_solve_draws`: the draws of one size are
+grouped by `geometry._runs`, the grouping the batched alignment uses, and
 integrated as one stacked state of one row per draw, each row with its own
 step control, so each draw reaches the endpoint of its solo solve bit for
 bit. `sample_ode` is its one-draw case.
@@ -18,12 +21,13 @@ bit. `sample_ode` is its one-draw case.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._rules import Rule, check, field_rules, ruled
-from .alignment import LAMBDA, SINGLE_PASS, solve_omt
+from .alignment import LAMBDA, SINGLE_PASS, solve_omt, solve_omt_batch
 from .geometry import LatentGeometry, _runs, sample_noise
 from .nn import (
     ARCH_DEFAULTS,
@@ -338,25 +342,19 @@ def sample_ode(model: VectorFieldModel, z0: LatentGeometry, solver: SolverConfig
 _STACK_EDGES = 4096
 
 
-def _stacks(draws):
-    """Indices of `draws` in solve order, split into stacks of one point
-    count with at most _STACK_EDGES edges (or one draw)."""
-    return _runs([z.n for z in draws], _STACK_EDGES, lambda n: max(1, n * (n - 1)))
-
-
 def _solve_draws(model, draws, solver: SolverConfig, threads=1):
     """(ODE endpoint, accepted steps) of each latent draw, in draw order.
 
-    The draws of one stack (`_stacks`) are integrated as one state of one
-    row per draw, [coords, features] flattened; `threads` maps over the
-    stacks.
+    The draws of one point count, in stacks of at most _STACK_EDGES edges
+    (or one draw), are integrated as one state of one row per draw,
+    [coords, features] flattened; `threads` maps over the stacks.
     """
     k = model.k
     if any(z.k != k for z in draws):
         raise ValueError("latent feature width mismatch")
 
-    def solve(idx):
-        n = draws[idx[0]].n
+    def solve(stack):
+        n = stack[0].n
         cut = 3 * n
 
         def unpack(y):
@@ -368,21 +366,13 @@ def _solve_draws(model, draws, solver: SolverConfig, threads=1):
             return np.concatenate([v.coords.reshape(-1, cut), v.features.reshape(-1, n * k)],
                                   axis=1)
 
-        y0 = np.stack([np.concatenate([draws[i].coords.ravel(), draws[i].features.ravel()])
-                       for i in idx])
+        y0 = np.stack([np.concatenate([z.coords.ravel(), z.features.ravel()]) for z in stack])
         y1, _, steps = integrate(f, y0, solver)
-        return [(i, unpack(y1[s : s + 1]), int(steps[s])) for s, i in enumerate(idx)]
+        return [(unpack(y1[s : s + 1]), int(steps[s])) for s in range(len(stack))]
 
-    if threads <= 1:
-        solved = map(solve, _stacks(draws))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, _stacks(draws)))
-    out = [None] * len(draws)
-    for stack in solved:
-        for i, z1, steps in stack:
-            out[i] = (z1, steps)
-    return out
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
+        return _runs(draws, [z.n for z in draws], _STACK_EDGES, lambda n: max(1, n * (n - 1)),
+                     solve, pool.map if pool else map)
 
 
 def _endpoints(model, size_sampler: SizeSampler, count, solver: SolverConfig, seed,
@@ -454,9 +444,10 @@ def reflow(model: VectorFieldModel, config: TrainConfig, validity, threads=1):
     kept = [p for p in flagged if p.valid] if config.purify else flagged
     if not kept:
         raise ValueError("purification rejected all samples")
-    coupling = CouplingSet([
-        align_pair(p, config.lam, config.omt_iters, config.omt_restarts)[0] for p in kept
-    ])
+    sols = solve_omt_batch([p.z1 for p in kept], [p.z0 for p in kept], config.lam,
+                           max_iters=config.omt_iters, restarts=config.omt_restarts)
+    coupling = CouplingSet([replace(p, z1=sol.aligned_target, aligned=True)
+                            for p, sol in zip(kept, sols)])
     if config.fresh_reflow:
         model = VectorFieldModel.from_arch({**model.arch_dict(), "seed": config.seed})
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202, 0]))

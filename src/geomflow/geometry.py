@@ -166,9 +166,11 @@ class Permutation:
         return Permutation(inv)
 
 
-def _runs(keys, cap: int, per_item) -> list:
-    """The indices of `keys` grouped by key in first-seen order, each group
-    cut into runs of at most max(1, cap // per_item(key)) indices."""
+def _runs(items, keys, cap: int, per_item, solve, mapper=map) -> list:
+    """The result of `solve` for each of `items`, in input order. The items
+    are grouped by `keys` in first-seen order, each group cut into runs of
+    at most max(1, cap // per_item(key)) items; `mapper` maps `solve` over
+    the runs, and `solve` returns one result per item of its run."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -176,7 +178,11 @@ def _runs(keys, cap: int, per_item) -> list:
     for key, idx in groups.items():
         size = max(1, cap // per_item(key))
         runs += [idx[lo : lo + size] for lo in range(0, len(idx), size)]
-    return runs
+    out = [None] * len(items)
+    for run, results in zip(runs, mapper(lambda run: solve([items[i] for i in run]), runs)):
+        for i, result in zip(run, results, strict=True):
+            out[i] = result
+    return out
 
 
 def center_of_mass(coords) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomflow import _checks
+from geomflow import _checks, alignment
 from geomflow.alignment import (
     ALTERNATION_EPS,
     CostMatrix,
@@ -353,11 +353,34 @@ class TestStackedAlignmentKernel:
                 assert_same_bits(sol, ref, z1)
             assert n < 5 or len({sol.iterations for sol in batch}) > 1
 
+    @pytest.mark.parametrize("cap", [None, 1])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 9), max_size=6),
+           restarts=st.integers(1, 4), max_iters=st.sampled_from([1, 3, 20]),
+           planted=st.booleans())
+    def test_mixed_sizes_and_widths_come_back_in_input_order(self, cap, seed, sizes, restarts,
+                                                              max_iters, planted):
+        # two pairs of each size and width, n = 1 and 2 always among them, shuffled
+        pairs = [pair for i, n in enumerate([1, 2, *sizes]) for k in (2, 3)
+                 for pair in draw_pairs(seed + i, n, k, 2, planted)]
+        pairs = [pairs[i] for i in np.random.default_rng(seed).permutation(len(pairs))]
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(alignment, "BATCH_ENTRIES", cap)
+            batch = solve_omt_batch([z1 for z1, _ in pairs], [z0 for _, z0 in pairs], 0.5,
+                                    max_iters=max_iters, restarts=restarts)
+        for (z1, z0), sol in zip(pairs, batch, strict=True):
+            solo = solve_omt(z1, z0, 0.5, max_iters=max_iters, restarts=restarts)
+            assert (sol.cost, sol.coord_cost, sol.feature_cost, sol.iterations) == (
+                solo.cost, solo.coord_cost, solo.feature_cost, solo.iterations)
+            assert np.array_equal(sol.permutation.map, solo.permutation.map)
+            assert sol.rotation.r.tobytes() == solo.rotation.r.tobytes()
+            got, want = sol.aligned_target, solo.aligned_target
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert got.features.tobytes() == want.features.tobytes()
+
     def test_batch_rejects_mixed_sizes_and_uncentred_pairs(self):
         (a1, a0), = draw_pairs(0, 4, 2, 1, False)
-        (b1, b0), = draw_pairs(1, 5, 2, 1, False)
-        with pytest.raises(ValueError, match="one size"):
-            solve_omt_batch([a1, b1], [a0, b0])
         with pytest.raises(ValueError, match="non-empty"):
             solve_omt_batch([], [])
         off = LatentGeometry(4, a1.coords + 1.0, a1.features)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geomflow import costs
+from geomflow import alignment
 from geomflow.alignment import solve_omt
 from geomflow.costs import CostReport, distribution_cost, molecule_cost, optimal_molecule_cost
 from geomflow.flow import CouplingPair, CouplingSet
@@ -198,7 +198,7 @@ class TestGroupedDistributionCost:
     def test_independent_of_the_chunk_cap(self, monkeypatch):
         pairs = self.mixed_pairs()
         base = distribution_cost(CouplingSet(pairs)).csv_row()
-        monkeypatch.setattr(costs, "BATCH_ENTRIES", 1)
+        monkeypatch.setattr(alignment, "BATCH_ENTRIES", 1)
         assert distribution_cost(CouplingSet(pairs)).csv_row() == base
 
 

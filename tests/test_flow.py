@@ -23,7 +23,7 @@ from geomflow.flow import (
     sample_ode,
     train,
 )
-from geomflow.geometry import LatentGeometry
+from geomflow.geometry import LatentGeometry, _runs
 from geomflow.nn import ARCH_DEFAULTS, AdamState, VectorFieldModel, adam_step, decode
 from geomflow.ode import SolverConfig, integrate
 
@@ -313,14 +313,20 @@ class TestStackedEndpoints:
                 assert np.array_equal(a.coords, b.coords)
                 assert np.array_equal(a.features, b.features)
 
-    def test_stacks_group_fixed_step_draws_by_size_under_the_cap(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "_STACK_EDGES", 40)
-        draws = [sample_noise(n, 2, i) for i, n in enumerate([3, 5, 3, 8, 5, 3, 5, 8, 3, 5])]
-        stacks = flow_module._stacks(draws)
-        assert sorted(i for idx in stacks for i in idx) == list(range(10))
+    def test_stacks_group_fixed_step_draws_by_size_under_the_cap(self):
+        sizes = [3, 5, 3, 8, 5, 3, 5, 8, 3, 5]
+        stacks = []
+
+        def solve(idx):
+            stacks.append(idx)
+            return [-i for i in idx]
+
+        # the grouping `_solve_draws` asks of `_runs`, at a cap of 40 edges
+        out = _runs(list(range(10)), sizes, 40, lambda n: max(1, n * (n - 1)), solve)
+        assert out == [-i for i in range(10)]
         for idx in stacks:
-            n = draws[idx[0]].n
-            assert all(draws[i].n == n for i in idx) and idx == sorted(idx)
+            n = sizes[idx[0]]
+            assert all(sizes[i] == n for i in idx) and idx == sorted(idx)
             assert len(idx) == 1 or len(idx) * n * (n - 1) <= 40
         assert [len(idx) for idx in stacks] == [4, 2, 2, 1, 1]
 
@@ -444,6 +450,29 @@ class TestReflow:
         _, cset = reflow(model, tiny_config(), alternating)
         assert len(cset) == 15
         assert all(p.valid for p in cset)
+
+    def test_realigns_each_kept_pair_as_align_pair_does(self, monkeypatch):
+        ds = tiny_dataset(24)
+        model, _ = train(ds, tiny_config(epochs=1))
+        conf = tiny_config(omt_iters=6, omt_restarts=3)
+        # independent pairs of mixed sizes as the estimate, so that the
+        # alignment's passes and starts matter; purify keeps every other one
+        est = CouplingSet([CouplingPair(sample_noise(n, 3, 2 * i), sample_noise(n, 3, 2 * i + 1),
+                                        source="estimated")
+                           for i, n in enumerate([1, 2, 5, 8, 13, 8, 5, 13, 2, 8, 5, 13] * 2)])
+        monkeypatch.setattr(flow_module, "estimate_couplings", lambda *args: est)
+        flags = iter([False, True] * len(est))
+        _, cset = reflow(model, conf, lambda g: next(flags))
+        kept = [replace(p, valid=True) for p in est.pairs[1::2]]
+        passes = []
+        for got, p in zip(cset, kept, strict=True):
+            want, sol = align_pair(p, conf.lam, conf.omt_iters, conf.omt_restarts)
+            passes.append(sol.iterations)
+            assert (got.aligned, got.source, got.valid) == (True, "estimated", True)
+            for a, b in ((got.z0, want.z0), (got.z1, want.z1)):
+                assert a.coords.tobytes() == b.coords.tobytes()
+                assert a.features.tobytes() == b.features.tobytes()
+        assert max(passes) > 2
 
     def test_fresh_reflow_keeps_arch_and_is_deterministic(self):
         ds = tiny_dataset(24)
