@@ -18,7 +18,7 @@ import numpy as np
 
 from . import costs, data, flow, nn, ode
 from .alignment import LAMBDA, CostMatrix, brute_force_omt, hungarian, kabsch, solve_omt
-from .geometry import LatentGeometry, rotation_from_rng, sample_noise
+from .geometry import LatentGeometry, _rotations_from_rng, rotation_from_rng, sample_noise
 
 
 def _result(*checks, **values) -> SimpleNamespace:
@@ -43,14 +43,6 @@ def assignment_exactness(count, seed=101, sizes=(2, 8)) -> SimpleNamespace:
                   exact=exact)
 
 
-def _haar_rotations(rng, count) -> np.ndarray:
-    """`count` uniformly random rotations, as a (count, 3, 3) stack."""
-    qs, rs = np.linalg.qr(rng.standard_normal((count, 3, 3)))
-    qs = qs * np.sign(np.einsum("rii->ri", rs))[:, None, :]
-    qs[np.linalg.det(qs) < 0, :, 0] *= -1.0
-    return qs
-
-
 def rotation_optimality(count, trials, seed=102) -> SimpleNamespace:
     """c02: on `count` centred clouds of 4-10 points, `kabsch` recovers a
     planted rotation; and aligning each cloud to a second, unplanted one
@@ -67,7 +59,7 @@ def rotation_optimality(count, trials, seed=102) -> SimpleNamespace:
         target = free.standard_normal((n, 3))
         target -= target.mean(axis=0)
         ours = ((target @ kabsch(target, x).r.T - x) ** 2).sum()
-        qs = _haar_rotations(rng, trials)
+        qs = _rotations_from_rng(rng, trials)
         trial = ((np.einsum("rij,nj->rni", qs, target) - x) ** 2).sum(axis=(1, 2)).min()
         held += ours <= trial + 1e-12
     return _result(

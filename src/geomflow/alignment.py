@@ -13,8 +13,9 @@ runs every alternation: the starts of a pair, and the pairs of one point
 count and feature width given to `solve_omt_batch` (which groups pairs of
 any sizes itself), are rows of one stacked state, each with the bits it
 would have alone. As in the stacked ODE solve, a pass works on the rows
-still alternating, and arrays indexed by row keep each row's best pass; a
-pair's result is the first best of its starts.
+still alternating, with one stacked `hungarian` and one stacked `kabsch`
+call, and arrays indexed by row keep each row's best pass, its
+permutation included; a pair's result is the first best of its starts.
 
 `brute_force_omt` is the exact small-n oracle: it enumerates every
 permutation and solves the rotation subproblem in closed form, which is
@@ -61,7 +62,7 @@ SINGLE_PASS = AlignBudget(max_iters=1, restarts=1)
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Per-point transport costs: m[i, j] = cost of matching z1 row i to z0 row j."""
+    """Per-point costs: m[i, j] = cost of matching z1 row i to z0 row j; or an (r, n, n) stack."""
 
     m: np.ndarray
 
@@ -69,7 +70,7 @@ class CostMatrix:
         m = np.array(self.m, dtype=np.float64, copy=True)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise ValueError("cost matrix must be square")
         if not np.isfinite(m).all():
             raise ValueError("cost matrix entries must be finite")
@@ -78,7 +79,7 @@ class CostMatrix:
 
     @property
     def n(self) -> int:
-        return self.m.shape[0]
+        return self.m.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,22 @@ def cost_matrix(z1: LatentGeometry, z0: LatentGeometry, lam: float = LAMBDA) -> 
     return CostMatrix(m)
 
 
-def hungarian(c: CostMatrix) -> Permutation:
-    """Optimal assignment: the permutation minimizing sum_i c.m[perm[i], i]."""
-    rows, cols = linear_sum_assignment(c.m)
-    perm = np.empty(c.n, dtype=np.intp)
-    perm[cols] = rows
-    return Permutation(perm)
+def hungarian(c: CostMatrix):
+    """Optimal assignment: the permutation minimizing sum_i c.m[perm[i], i].
+
+    Like `kabsch`, it takes a leading stack axis: an (n, n) matrix returns
+    a `Permutation`, an (r, n, n) stack a read-only (r, n) array of the r
+    maps, each that of its own 2-D call.
+    """
+    m = c.m if c.m.ndim == 3 else c.m[None]
+    perm = np.empty(m.shape[:2], dtype=np.intp)
+    for p, mj in zip(perm, m):
+        rows, cols = linear_sum_assignment(mj)
+        p[cols] = rows
+    if c.m.ndim == 2:
+        return Permutation(perm[0])
+    perm.setflags(write=False)
+    return perm
 
 
 def kabsch(x_target: np.ndarray, x_ref: np.ndarray):
@@ -191,10 +202,10 @@ def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
     start, as one state of R = b * restarts rows; `solve_omt` per pair.
 
     A pass runs on the rows still alternating, `act`: one stacked rotate
-    and (a, n, n) cost, one `hungarian` per row, one stacked `kabsch` and
-    the stacked costs, each row summed over its flattened entries as a lone
-    pair would be. Arrays indexed by row keep each row's best pass and its
-    pass count. A row stops once a pass improves its cost by less than
+    and (a, n, n) cost, one stacked `hungarian` and one stacked `kabsch`,
+    and the stacked costs, each row summed over its flattened entries as a
+    lone pair would be. Arrays indexed by row keep each row's best pass and
+    its pass count. A row stops once a pass improves its cost by less than
     ALTERNATION_EPS; the working arrays shrink on a pass where a row stops.
     Per pair the first minimum over its starts wins.
     """
@@ -209,28 +220,24 @@ def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
     act = np.arange(b * s)
     ar = act[:, None]
     passes = np.empty(b * s, np.intp)
+    # Per row, its best pass: cost, permutation, rotation, aligned
+    # coordinates, and the coordinate and feature sums of squares.
+    best = [np.full(b * s, np.inf), np.empty((b * s, n), np.intp), np.empty((b * s, 3, 3)),
+            np.empty((b * s, n, 3)), np.empty(b * s), np.empty(b * s)]
     for it in range(max_iters):
         a = len(act)
         m = lam * _sq_dists(x1 @ rot.swapaxes(-1, -2), x0) + feat
-        perm = [hungarian(CostMatrix(mj)) for mj in m]
-        at = (ar, np.array([p.map for p in perm]))
-        x1p = x1[at]
+        perm = hungarian(CostMatrix(m))
+        x1p = x1[ar, perm]
         rot = kabsch(x1p, x0) if n >= 2 else np.broadcast_to(np.eye(3), (a, 3, 3))
         x1a = x1p @ rot.swapaxes(-1, -2)
         sse_x = np.add.reduce(((x1a - x0) ** 2).reshape(a, -1), axis=1)
-        sse_h = np.add.reduce(((h1[at] - h0) ** 2).reshape(a, -1), axis=1)
+        sse_h = np.add.reduce(((h1[ar, perm] - h0) ** 2).reshape(a, -1), axis=1)
         cost = lam * sse_x + (1.0 - lam) * sse_h
-        # Per row, its best pass: cost, rotation, aligned coordinates, the
-        # coordinate and feature sums of squares; and its `Permutation`.
-        if it == 0:  # copies: `cost` is also `prev`, `rot` is read-only
-            best, best_perm = [cost.copy(), np.array(rot), x1a, sse_x, sse_h], perm
-        else:
-            won = cost < best[0][act]
-            rows = act[won]
-            for keep, now in zip(best, (cost, rot, x1a, sse_x, sse_h)):
-                keep[rows] = now[won]
-            for r, p in zip(rows, itertools.compress(perm, won)):
-                best_perm[r] = p
+        won = cost < best[0][act]
+        rows = act[won]
+        for keep, now in zip(best, (cost, perm, rot, x1a, sse_x, sse_h)):
+            keep[rows] = now[won]
         passes[act] = it + 1
         if it + 1 == max_iters:
             break
@@ -244,12 +251,12 @@ def _align_stack(z1s, z0s, lam, max_iters, restarts) -> list:
                     v[go] for v in (cost, rot, x1, h1, x0, h0, feat))
         prev = cost
 
-    cost, rot, x1a, sse_x, sse_h = best
+    cost, perm, rot, x1a, sse_x, sse_h = best
     wins = [p * s + k for p, k in enumerate(cost.reshape(b, s).argmin(axis=1).tolist())]
     return [OmtSolution(
         rotation=Rotation.of_checked(rot[w]),
-        permutation=best_perm[w],
-        aligned_target=LatentGeometry(n, x1a[w], z1.features[best_perm[w].map]),
+        permutation=Permutation(perm[w]),
+        aligned_target=LatentGeometry(n, x1a[w], z1.features[perm[w]]),
         cost=float(cost[w]),
         coord_cost=math.sqrt(sse_x[w]),
         feature_cost=math.sqrt(sse_h[w]),

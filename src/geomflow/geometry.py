@@ -209,23 +209,24 @@ def apply_permutation(g: Geometry, perm: Permutation) -> Geometry:
 
 
 def random_rotation(seed) -> Rotation:
-    """A seeded random proper rotation.
-
-    Orthonormalizes a Gaussian 3x3 matrix (QR with the sign convention that
-    makes the factorization unique) and flips one axis if the result is a
-    reflection.
-    """
+    """A seeded random proper rotation."""
     rng = np.random.default_rng(seed)
     return rotation_from_rng(rng)
 
 
 def rotation_from_rng(rng: np.random.Generator) -> Rotation:
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, 0] *= -1.0
-    return Rotation(q)
+    return Rotation(_rotations_from_rng(rng, 1)[0])
+
+
+def _rotations_from_rng(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random proper rotations drawn from `rng`, as a (count, 3, 3)
+    stack. Orthonormalizes each Gaussian 3x3 matrix (QR with the sign
+    convention that makes the factorization unique) and flips one axis
+    where the result is a reflection."""
+    q, r = np.linalg.qr(rng.standard_normal((count, 3, 3)))
+    q = q * np.sign(np.einsum("rii->ri", r))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
 
 
 def sample_noise(n: int, k: int, seed) -> LatentGeometry:

@@ -15,7 +15,7 @@ from geomflow.alignment import (
     solve_omt,
     solve_omt_batch,
 )
-from geomflow.geometry import LatentGeometry, Rotation, random_rotation
+from geomflow.geometry import LatentGeometry, Permutation, Rotation, random_rotation
 
 
 def random_latent(seed, n=5, k=2, centered=True):
@@ -75,6 +75,42 @@ class TestHungarian:
     def test_matches_enumeration_exactly(self):
         r = _checks.assignment_exactness(200, seed=12, sizes=(7, 8))  # c01's bound, 7 x 7
         assert r.ok, r.checks
+
+
+class TestStackedHungarian:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), n=st.integers(1, 9),
+           ties=st.booleans())
+    def test_stack_equals_per_matrix_maps(self, seed, r, n, ties):
+        rng = np.random.default_rng(seed)
+        # Integer-valued entries in 0..2 give many tied optima.
+        m = rng.integers(0, 3, (r, n, n)).astype(float) if ties else rng.random((r, n, n))
+        c = CostMatrix(m)
+        assert c.n == n
+        perm = hungarian(c)
+        assert perm.shape == (r, n) and perm.dtype == np.intp
+        assert not perm.flags.writeable
+        for i in range(r):
+            assert np.array_equal(perm[i], hungarian(CostMatrix(m[i])).map)
+
+    def test_two_d_call_returns_a_permutation(self):
+        perm = hungarian(CostMatrix(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [2.0, 2.0, 0.0]])))
+        assert isinstance(perm, Permutation)
+        assert np.array_equal(perm.map, [1, 0, 2])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 3), (3,)])
+    def test_cost_matrix_rejects_non_square_stacks(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            CostMatrix(np.ones(shape))
+
+    @pytest.mark.parametrize("value, match", [(-1.0, "non-negative"), (np.nan, "finite"),
+                                              (np.inf, "finite")])
+    def test_cost_matrix_rejects_a_bad_entry_in_any_slice(self, value, match):
+        for i in range(3):
+            m = np.ones((3, 4, 4))
+            m[i, 1, 2] = value
+            with pytest.raises(ValueError, match=match):
+                CostMatrix(m)
 
 
 class TestKabsch:
